@@ -1,4 +1,4 @@
-"""Time-stepped check of the protocols against a worst-case wavefront.
+"""Tick-grid check of the protocols against a worst-case wavefront.
 
 The threat is not simulated as individual invaders: since they are
 assumed smart and bounded only by speed, the worst case is the whole
@@ -7,6 +7,13 @@ angular bin. Each tick the frontier decays; each defender then clears the
 bins its sensor line crossed, recording the clearance margin (frontier
 minus sensor inner tip) and raising a breach when the frontier has
 already slipped below the sensor.
+
+The ticks are not stepped one by one. A bin changes only when a sensor
+crosses it and the decay is the same everywhere, so each bin keeps its
+radius as a value plus the step it was set at, and a sweep phase finds
+the crossing tick of every (defender, bin) pair in the defender's sector
+with one search over the phase's precomputed progress. The cost follows
+the crossings, about one per bin per sweep phase, not ticks * bins.
 
 Two drive modes share the engine. Defense runs re-anchor the sensors at
 R0 every cycle and probe whether the protocol can hold the initial
@@ -20,8 +27,10 @@ excluded from reporting; steady state begins with the second sweep.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +40,12 @@ from .errors import ConfigError, NoExpansion, SpeedTooLow
 from .scenario import ProtocolKind, ScenarioParams, validate
 
 _TWO_PI = 2.0 * math.pi
+
+# Bin-centre distances from a sweep's start within this many radians of
+# either sector edge sit on the edge: rounding in ((c - start) * dir) % 2pi
+# can otherwise push a centre that lies where two pincer sectors meet just
+# outside both. Far above that rounding, far below a bin width.
+_EDGE_SNAP = 1e-12
 
 _PINCER_KINDS = (ProtocolKind.CIRCULAR_PINCER, ProtocolKind.SPIRAL_PINCER)
 _SPIRAL_KINDS = (ProtocolKind.SPIRAL_PINCER, ProtocolKind.SPIRAL_SAME_DIRECTION)
@@ -57,14 +72,6 @@ class DefenderPose:
     r_inner: float   # sensor span is [r_inner, r_outer], r_outer - r_inner = 2r
     r_outer: float
     direction: int   # +1 counter-clockwise, -1 clockwise
-
-
-@dataclass
-class WavefrontState:
-    bins: int
-    rho: np.ndarray  # per-bin frontier radius
-    t: float
-    breaches: List[BreachEvent]
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,11 @@ class _SweepPhase:
     index: int
     duration: float
     span: float      # angular sector each defender covers this sweep
-    anchor: float    # protected radius at sweep start (sensor inner tip)
     max_rate: float  # peak angular speed, for the dt stability limit
-    progress: Callable[[float], float]  # angular progress s(t), s(0) = 0
-    inner: Callable[[float], float]     # sensor inner radius at phase time t
+    progress: Callable[[np.ndarray], np.ndarray]  # angular progress s(t), s(0) = 0
+    inner: Callable[[np.ndarray], np.ndarray]     # sensor inner radius at phase time t
     starts: np.ndarray
     dirs: np.ndarray
-    poses: List[DefenderPose]
 
 
 @dataclass(frozen=True)
@@ -139,9 +144,9 @@ def _span_at(params: ScenarioParams, Vs: float, kind: ProtocolKind, R: float) ->
     return base
 
 
-def _sweep_poses(
-    params: ScenarioParams, kind: ProtocolKind, index: int, anchor: float, span: float
-) -> Tuple[np.ndarray, np.ndarray, List[DefenderPose]]:
+def _sweep_starts(
+    params: ScenarioParams, kind: ProtocolKind, index: int, span: float
+) -> Tuple[np.ndarray, np.ndarray]:
     n = params.n
     starts = np.empty(n)
     dirs = np.empty(n, dtype=np.int64)
@@ -161,17 +166,7 @@ def _sweep_poses(
         for d in range(n):
             starts[d] = _TWO_PI * d / n + index * (_TWO_PI / n)
             dirs[d] = 1
-    poses = [
-        DefenderPose(
-            id=d,
-            angle=starts[d] % _TWO_PI,
-            r_inner=anchor,
-            r_outer=anchor + 2.0 * params.r,
-            direction=int(dirs[d]),
-        )
-        for d in range(n)
-    ]
-    return starts, dirs, poses
+    return starts, dirs
 
 
 def _make_sweep(
@@ -188,35 +183,33 @@ def _make_sweep(
         lateral = math.sqrt(Vs * Vs - VT * VT)
         Rt0 = anchor + params.r
 
-        def progress(t: float) -> float:
-            return (lateral / VT) * math.log(Rt0 / (Rt0 - VT * t))
+        def progress(t):
+            return (lateral / VT) * np.log(Rt0 / (Rt0 - VT * t))
 
-        def inner(t: float) -> float:
-            return anchor - VT * t
-
+        inward = VT  # the spiral sensor moves in with the frontier
         max_rate = lateral / (Rt0 - VT * duration)
     else:
         omega = Vs / anchor
 
-        def progress(t: float) -> float:
+        def progress(t):
             return omega * t
 
-        def inner(t: float) -> float:
-            return anchor
-
+        inward = 0.0
         max_rate = omega
-    starts, dirs, poses = _sweep_poses(params, kind, index, anchor, span)
+
+    def inner(t):
+        return anchor - inward * t
+
+    starts, dirs = _sweep_starts(params, kind, index, span)
     return _SweepPhase(
         index=index,
         duration=duration,
         span=span,
-        anchor=anchor,
         max_rate=max_rate,
         progress=progress,
         inner=inner,
         starts=starts,
         dirs=dirs,
-        poses=poses,
     )
 
 
@@ -304,6 +297,200 @@ def _check_config(grid: SimConfig) -> None:
         raise ConfigError(f"breach_tol={grid.breach_tol}: must be nonnegative")
 
 
+def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig):
+    """Resolve the drive mode and lay out its phases: (mode, phases, R_ref)."""
+    mode = _resolve_mode(params, Vs, kind, grid.mode)
+    if mode == "expansion":
+        try:
+            return (mode,) + _expansion_plan(params, Vs, kind, grid.max_sweeps)
+        except NoExpansion:
+            if grid.mode == "expansion":
+                raise
+    return ("defense",) + _defense_plan(params, Vs, kind, grid.cycles)
+
+
+def _tick_lengths(duration: float, dt: Optional[float]) -> np.ndarray:
+    """Steps of one phase: an advance is a single step; a sweep takes
+    whole ticks of dt, then the remainder unless it is rounding noise.
+
+    A sweep always has a tick: dt is at most one bin's crossing time, so no
+    sweep is as short as the 1e-12 * dt noise floor.
+    """
+    if dt is None:
+        return np.array([duration])
+    n_full = int(duration / dt)
+    remainder = duration - n_full * dt
+    extra = 1 if remainder > 1e-12 * dt else 0
+    h = np.full(n_full + extra, dt)
+    if extra:
+        h[-1] = remainder
+    return h
+
+
+class _Frontier:
+    """Per-bin frontier radii, decayed lazily over the run's steps.
+
+    Every tick, and every advance, is one step: all bins lose VT*h and
+    clamp at 0. The decay since the phase began is a running level, so
+    bin j, set to value[j] when the level stood at base[j], has radius
+    max(value - (level - base), 0): a step costs nothing until a sensor
+    crosses the bin. Only the current phase's steps are held; earlier
+    phases are rebuilt from their duration when a bin's fall is replayed.
+    """
+
+    def __init__(self, bins: int, R0: float, VT: float):
+        self.VT = VT
+        self.value = np.full(bins, float(R0))
+        self.base = np.zeros(bins)
+        self.ref = np.zeros(bins, dtype=np.int64)  # first step after the set
+        self.center_hit = np.zeros(bins, dtype=bool)
+        self.firsts: List[int] = []  # first step of every phase begun
+        self.phases: List[Tuple[float, Optional[float]]] = []  # (duration, dt)
+        self.first, self.steps, self.t, self.level = 0, 0, 0.0, 0.0
+        # (step, 0 center | 1 sensor, defender, distance, bin, rho, inner, t)
+        self.events: List[tuple] = []
+
+    def begin(self, duration: float, dt: Optional[float]) -> np.ndarray:
+        """Start the next phase: a sweep ticked at dt, or an advance (dt None)."""
+        h = _tick_lengths(duration, dt)
+        self.first = self.steps
+        self.firsts.append(self.first)
+        self.phases.append((duration, dt))
+        # levels restart at 0 each phase, so their rounding stays at the
+        # scale of one phase; times continue the run's sum tick by tick
+        self.base -= self.level
+        self.drop = self.VT * h
+        self.levels = np.cumsum(self.drop)
+        self.times = np.cumsum(np.concatenate(([self.t], h)))[1:]
+        self.steps += len(h)
+        self.t, self.level = float(self.times[-1]), float(self.levels[-1])
+        return h
+
+    def radius(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Radii of bins j after ticks k of this phase."""
+        return self._radius(j, self.levels[k], self.first + k)
+
+    def settle(self) -> np.ndarray:
+        """Radii of all bins after the last step so far."""
+        return self._radius(np.arange(len(self.value)), self.level, self.steps - 1)
+
+    def clear(self, j: np.ndarray, k: np.ndarray, rho: np.ndarray) -> None:
+        """Set bins j to rho just after ticks k of this phase."""
+        self.value[j] = rho
+        self.base[j] = self.levels[k]
+        self.ref[j] = self.first + k + 1
+
+    def _radius(self, j: np.ndarray, level, step) -> np.ndarray:
+        """Bins whose lazy radius is near 0 are replayed step by step from
+        their value, subtracting VT*h as a tick loop does, so a center hit
+        lands on the tick where the running radius first reaches 0."""
+        fallen = level - self.base[j]
+        lazy = self.value[j] - fallen
+        near = np.flatnonzero(~self.center_hit[j] & (lazy <= 1e-9 * (self.value[j] + fallen)))
+        ends = np.broadcast_to(step, j.shape)
+        for b, end in zip(j[near].tolist(), ends[near].tolist()):
+            self._replay(b, end)
+        return np.maximum(lazy, 0.0)
+
+    def _drops(self, q: int) -> np.ndarray:
+        if q == len(self.phases) - 1:
+            return self.drop
+        return self.VT * _tick_lengths(*self.phases[q])
+
+    def _replay(self, b: int, end: int) -> None:
+        """Record bin b's center hit if its fall reaches 0 by step end."""
+        begin = int(self.ref[b])
+        path = [self.value[b : b + 1]]
+        for q in range(bisect_right(self.firsts, begin) - 1, len(self.firsts)):
+            first = self.firsts[q]
+            if first > end:
+                break
+            path.append(self._drops(q)[max(begin - first, 0) : end - first + 1])
+        down = np.flatnonzero(np.subtract.accumulate(np.concatenate(path))[1:] <= 0.0)
+        if down.size:
+            # every phase ends by settling all bins, so a fall that reached
+            # 0 before this phase was recorded then: this hit lies in it
+            step = begin + int(down[0])
+            self.center_hit[b] = True
+            t = float(self.times[step - self.first])
+            self.events.append((step, 0, 0, 0.0, b, 0.0, 0.0, t))
+
+    def record(self, k, d, x, j, rho, inner) -> None:
+        """Record sensor breaches at ticks k of this phase."""
+        cols = (d, x, j, rho, inner, self.times[k])
+        self.events.extend(zip((self.first + k).tolist(), repeat(1), *(c.tolist() for c in cols)))
+
+    def breaches(self) -> List[BreachEvent]:
+        """Breaches in tick-loop order.
+
+        By step; within a step center hits first, by bin; then sensor
+        breaches by defender and, for one defender, in the order its
+        sensor met them.
+        """
+        self.events.sort()
+        kinds = (BreachKind.CENTER_REACHED, BreachKind.UNDER_SENSOR)
+        return [
+            BreachEvent(t=t, bin=b, rho_at_pass=rho, sensor_inner=inner, kind=kinds[sensor])
+            for _, sensor, _, _, b, rho, inner, t in self.events
+        ]
+
+
+def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
+    """Every (defender, bin) crossing of a sweep phase, bin-major.
+
+    A bin at distance x along a defender's path is crossed on the first
+    tick whose progress reaches x, i.e. where s_prev < x <= s_now; a bin
+    on the start edge (x = 0) is crossed on the first tick. Returns
+    defender, bin, distance and tick arrays sorted by (bin, tick,
+    defender), plus each crossing's rank among the crossings of its bin.
+    Only a window of bins two wider than the sector on each side is
+    measured per defender; every bin beyond it is out of reach.
+    """
+    M = len(centers)
+    binwidth = _TWO_PI / M
+    width = min(int(math.ceil(phase.span / binwidth)) + 5, M)
+    low_edge = np.where(phase.dirs > 0, phase.starts, phase.starts - phase.span)
+    lowest = np.floor(low_edge / binwidth - 0.5).astype(np.int64) - 2
+    window = (lowest[:, None] + np.arange(width)) % M
+    dist = ((centers[window] - phase.starts[:, None]) * phase.dirs[:, None]) % _TWO_PI
+    dist[(dist <= _EDGE_SNAP) | (dist >= _TWO_PI - _EDGE_SNAP)] = 0.0
+    dist[np.abs(dist - phase.span) <= _EDGE_SNAP] = phase.span
+    d, w = np.nonzero(dist <= s[-1])
+    j = window[d, w]
+    x = dist[d, w]
+    k = np.searchsorted(s, x, side="left")
+    order = np.lexsort((d, k, j))
+    d, j, x, k = d[order], j[order], x[order], k[order]
+    pos = np.arange(len(j))
+    new_bin = np.ones(len(j), dtype=bool)
+    new_bin[1:] = j[1:] != j[:-1]
+    rank = pos - np.maximum.accumulate(np.where(new_bin, pos, 0))
+    return d, j, x, k, rank
+
+
+def _sweep(front: _Frontier, phase: _SweepPhase, h: np.ndarray, centers, two_r):
+    """Clear every crossing of the sweep phase the frontier has just begun.
+
+    Returns defender, bin, distance, tick, the frontier radius the sensor
+    met and the sensor's inner radius for each crossing.
+    """
+    t_local = np.cumsum(h)
+    t_local[-1] = phase.duration
+    s = phase.progress(t_local)
+    s[-1] = phase.span
+    np.maximum.accumulate(s, out=s)
+    inner = phase.inner(t_local)
+    d, j, x, k, rank = _crossings(phase, centers, s)
+    rho = np.empty(len(j))
+    # a bin met by several sensors (pincer meetings, same-direction
+    # overlap) takes them in tick and then defender order, one pass each
+    for r in range(int(rank.max()) + 1 if len(j) else 0):
+        sel = np.flatnonzero(rank == r)
+        rho[sel] = front.radius(j[sel], k[sel])
+        front.clear(j[sel], k[sel], np.maximum(rho[sel], inner[k[sel]] + two_r))
+    return d, j, x, k, rho, inner[k]
+
+
 def run(
     params: ScenarioParams,
     Vs: float,
@@ -320,17 +507,7 @@ def run(
     if Vs <= params.VT:
         raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={params.VT}")
     _check_config(grid)
-
-    mode = _resolve_mode(params, Vs, kind, grid.mode)
-    if mode == "expansion":
-        try:
-            phases, R_ref = _expansion_plan(params, Vs, kind, grid.max_sweeps)
-        except NoExpansion:
-            if grid.mode == "expansion":
-                raise
-            mode = "defense"
-    if mode == "defense":
-        phases, R_ref = _defense_plan(params, Vs, kind, grid.cycles)
+    mode, phases, R_ref = _plan(params, Vs, kind, grid)
 
     M = grid.bins
     binwidth = _TWO_PI / M
@@ -348,98 +525,40 @@ def run(
     breach_tol = grid_tolerance if grid.breach_tol is None else grid.breach_tol
 
     centers = (np.arange(M) + 0.5) * binwidth
-    state = WavefrontState(bins=M, rho=np.full(M, params.R0), t=0.0, breaches=[])
-    center_hit = np.zeros(M, dtype=bool)
-    two_r = 2.0 * params.r
-    VT = params.VT
+    front = _Frontier(M, params.R0, params.VT)
 
     sweeps: List[SweepRecord] = []
     profiles: Optional[List[np.ndarray]] = [] if grid.capture_profiles else None
     min_margin = math.inf
 
-    def decay(h: float) -> None:
-        state.rho -= VT * h
-        hit = (state.rho <= 0.0) & ~center_hit
-        if hit.any():
-            for j in np.flatnonzero(hit):
-                state.breaches.append(
-                    BreachEvent(
-                        t=state.t,
-                        bin=int(j),
-                        rho_at_pass=0.0,
-                        sensor_inner=0.0,
-                        kind=BreachKind.CENTER_REACHED,
-                    )
-                )
-            center_hit[hit] = True
-        np.maximum(state.rho, 0.0, out=state.rho)
-
     for phase in phases:
         if isinstance(phase, _AdvancePhase):
             # no detection while moving outward; one exact decay step
-            state.t += phase.duration
-            decay(phase.duration)
+            front.begin(phase.duration, None)
+            front.settle()
             continue
 
-        # distance-from-start of every bin center, per defender, so each
-        # tick's cleared set is one sorted-range lookup
-        dist = ((centers[None, :] - phase.starts[:, None]) * phase.dirs[:, None]) % _TWO_PI
-        order = np.argsort(dist, axis=1, kind="stable")
-        sorted_dist = np.take_along_axis(dist, order, axis=1)
+        h = front.begin(phase.duration, dt)
+        d, j, x, k, rho, inner = _sweep(front, phase, h, centers, 2.0 * params.r)
+        margins = rho - inner
+        sweep_margin = float(margins.min()) if len(margins) else math.inf
+        if phase.index >= 1:  # warm-up sweep excluded from reporting
+            min_margin = min(min_margin, sweep_margin)
+            bad = margins < -breach_tol
+            front.record(*(a[bad] for a in (k, d, x, j, rho, inner)))
 
-        counted = phase.index >= 1  # warm-up sweep excluded from reporting
-        sweep_margin = math.inf
-        n_full = int(phase.duration / dt)
-        remainder = phase.duration - n_full * dt
-        ticks = [dt] * n_full + ([remainder] if remainder > 1e-12 * dt else [])
-        t_local = 0.0
-        s_prev = 0.0
-        for k, h in enumerate(ticks):
-            t_local = phase.duration if k == len(ticks) - 1 else t_local + h
-            state.t += h
-            decay(h)
-            s_now = phase.span if k == len(ticks) - 1 else phase.progress(t_local)
-            r_inner = phase.inner(t_local)
-            r_outer = r_inner + two_r
-            for d in range(params.n):
-                i0 = np.searchsorted(sorted_dist[d], s_prev, side="right")
-                i1 = np.searchsorted(sorted_dist[d], s_now, side="right")
-                if i1 == i0:
-                    continue
-                idx = order[d, i0:i1]
-                margins = state.rho[idx] - r_inner
-                low = float(margins.min())
-                if low < sweep_margin:
-                    sweep_margin = low
-                if counted:
-                    bad = margins < -breach_tol
-                    if bad.any():
-                        for j, m in zip(idx[bad], margins[bad]):
-                            state.breaches.append(
-                                BreachEvent(
-                                    t=state.t,
-                                    bin=int(j),
-                                    rho_at_pass=float(state.rho[j]),
-                                    sensor_inner=r_inner,
-                                    kind=BreachKind.UNDER_SENSOR,
-                                )
-                            )
-                state.rho[idx] = np.maximum(state.rho[idx], r_outer)
-            s_prev = s_now
-
-        if counted and sweep_margin < min_margin:
-            min_margin = sweep_margin
+        rho_end = front.settle()
         sweeps.append(
             SweepRecord(
                 index=phase.index,
-                t=state.t,
-                rho_min=float(state.rho.min()),
-                rho_max=float(state.rho.max()),
+                t=front.t,
+                rho_min=float(rho_end.min()),
+                rho_max=float(rho_end.max()),
                 margin=sweep_margin,
             )
         )
         if profiles is not None:
-            profiles.append(state.rho.copy())
+            profiles.append(rho_end)
 
     return SimReport(
         kind=kind,
@@ -447,10 +566,10 @@ def run(
         bins=M,
         dt=dt,
         grid_tolerance=grid_tolerance,
-        t_final=state.t,
+        t_final=front.t,
         sweeps=sweeps,
         min_margin=min_margin,
-        breaches=state.breaches,
+        breaches=front.breaches(),
         profiles=profiles,
     )
 
@@ -463,8 +582,17 @@ def initial_poses(
     if Vs <= params.VT:
         raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={params.VT}")
     span = _span_at(params, Vs, kind, params.R0)
-    _, _, poses = _sweep_poses(params, kind, 0, params.R0, span)
-    return poses
+    starts, dirs = _sweep_starts(params, kind, 0, span)
+    return [
+        DefenderPose(
+            id=d,
+            angle=float(starts[d] % _TWO_PI),
+            r_inner=params.R0,
+            r_outer=params.R0 + 2.0 * params.r,
+            direction=int(dirs[d]),
+        )
+        for d in range(params.n)
+    ]
 
 
 def margin_curve(

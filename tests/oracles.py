@@ -4,11 +4,15 @@ Everything here iterates or sums the per-sweep difference equations
 directly, in plain Python floats, with no closed-form shortcuts and no
 imports from the package under test. Where the library answers with a
 geometric-series formula, these oracles answer by brute force; agreement
-between the two routes is the point of the comparison.
+between the two routes is the point of the comparison. The wavefront
+replay at the end steps the simulator's frontier one tick at a time, the
+way the library did before its crossing search replaced the tick loop.
 """
 
 import math
-from typing import List, NamedTuple
+from typing import Callable, List, NamedTuple
+
+import numpy as np
 
 
 class OracleStep(NamedTuple):
@@ -162,3 +166,107 @@ def spiral_same_run(R0, r, VT, n, eps, Vs, max_steps=500000) -> OracleRun:
             break
         assert len(steps) < max_steps, "oracle runaway"
     return _finish(steps, R_asym, R_max, Vs)
+
+
+class OracleSweep(NamedTuple):
+    """One sweep phase of a wavefront run, as plain inputs."""
+    index: int
+    duration: float
+    span: float      # angular sector each defender covers
+    progress: Callable[[float], float]  # angular progress s(t), s(0) = 0
+    inner: Callable[[float], float]     # sensor inner radius at phase time t
+    starts: List[float]  # start angle of each defender
+    dirs: List[int]      # +1 counter-clockwise, -1 clockwise
+
+
+class OracleAdvance(NamedTuple):
+    """An outward move: no detection, one exact decay step."""
+    duration: float
+
+
+class OracleWavefront(NamedTuple):
+    t_final: float
+    sweeps: List[tuple]    # (index, t, rho_min, rho_max, margin) per sweep
+    min_margin: float      # over the sweeps with index >= 1
+    breaches: List[tuple]  # (t, bin, rho_at_pass, sensor_inner, kind)
+    profiles: List[np.ndarray]  # frontier copy at every sweep end
+
+
+def wavefront_run(phases, bins, dt, R0, r, VT, breach_tol, snap) -> OracleWavefront:
+    """Tick-by-tick wavefront replay: the reference for the event-driven core.
+
+    Every tick decays all bins by VT*h, reports bins that reach the center,
+    then lets each defender in turn clear the bins its sensor line swept
+    since the previous tick. A sweep lasts int(duration/dt) ticks of dt plus
+    one remainder tick, and its last tick ends on the sector edge. Bin
+    distances within snap of either sector edge are moved onto it, and a
+    bin on the start edge is cleared on the first tick.
+    """
+    two_pi = 2.0 * math.pi
+    binwidth = two_pi / bins
+    centers = (np.arange(bins) + 0.5) * binwidth
+    rho = np.full(bins, float(R0))
+    center_hit = np.zeros(bins, dtype=bool)
+    t = 0.0
+    breaches: List[tuple] = []
+    sweeps: List[tuple] = []
+    profiles: List[np.ndarray] = []
+    min_margin = math.inf
+
+    def decay(h):
+        nonlocal rho
+        rho -= VT * h
+        hit = (rho <= 0.0) & ~center_hit
+        for j in np.flatnonzero(hit):
+            breaches.append((t, int(j), 0.0, 0.0, "CenterReached"))
+        center_hit[hit] = True
+        np.maximum(rho, 0.0, out=rho)
+
+    for phase in phases:
+        if isinstance(phase, OracleAdvance):
+            t += phase.duration
+            decay(phase.duration)
+            continue
+        starts = np.asarray(phase.starts, dtype=float)
+        dirs = np.asarray(phase.dirs)
+        dist = ((centers[None, :] - starts[:, None]) * dirs[:, None]) % two_pi
+        dist[(dist <= snap) | (dist >= two_pi - snap)] = 0.0
+        dist[np.abs(dist - phase.span) <= snap] = phase.span
+        order = np.argsort(dist, axis=1, kind="stable")
+        sorted_dist = np.take_along_axis(dist, order, axis=1)
+
+        counted = phase.index >= 1
+        sweep_margin = math.inf
+        n_full = int(phase.duration / dt)
+        remainder = phase.duration - n_full * dt
+        ticks = [dt] * n_full + ([remainder] if remainder > 1e-12 * dt else [])
+        t_local = 0.0
+        s_prev = 0.0
+        for k, h in enumerate(ticks):
+            last = k == len(ticks) - 1
+            t_local = phase.duration if last else t_local + h
+            t += h
+            decay(h)
+            s_now = phase.span if last else phase.progress(t_local)
+            r_inner = phase.inner(t_local)
+            r_outer = r_inner + 2.0 * r
+            for d in range(len(starts)):
+                i0 = np.searchsorted(sorted_dist[d], s_prev, side="right") if k else 0
+                i1 = np.searchsorted(sorted_dist[d], s_now, side="right")
+                if i1 == i0:
+                    continue
+                idx = order[d, i0:i1]
+                margins = rho[idx] - r_inner
+                sweep_margin = min(sweep_margin, float(margins.min()))
+                if counted:
+                    for j in idx[margins < -breach_tol]:
+                        breaches.append((t, int(j), float(rho[j]), r_inner, "UnderSensor"))
+                rho[idx] = np.maximum(rho[idx], r_outer)
+            s_prev = s_now
+
+        if counted:
+            min_margin = min(min_margin, sweep_margin)
+        sweeps.append((phase.index, t, float(rho.min()), float(rho.max()), sweep_margin))
+        profiles.append(rho.copy())
+
+    return OracleWavefront(t, sweeps, min_margin, breaches, profiles)

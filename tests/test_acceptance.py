@@ -30,6 +30,7 @@ from sweepdefense.simulator import SimConfig
 
 BASE = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+EXPECTED_DIR = Path(__file__).resolve().parent.parent / "bench" / "expected"
 SEED = 42
 
 
@@ -320,6 +321,8 @@ def test_criterion_10_cli_outputs_byte_stable(tmp_path):
     configs = sorted(CONFIG_DIR.glob("*.cfg"))
     assert {c.stem for c in configs} == set(subcommand_for), "config set drifted"
     assert set(subcommand_for.values()) == set(cli._COMMANDS), "subcommand gap"
+    analytic = {c for c, cmd in subcommand_for.items() if cmd != "simulate"}
+    assert {p.stem for p in EXPECTED_DIR.glob("*.csv")} == analytic, "golden set drifted"
     for cfg in configs:
         outs = []
         for attempt in ("a", "b"):
@@ -331,9 +334,13 @@ def test_criterion_10_cli_outputs_byte_stable(tmp_path):
             outs.append(out)
         first, second = outs
         assert first.read_bytes() == second.read_bytes(), f"{cfg.name} table"
+        if cfg.stem in analytic:
+            golden = (EXPECTED_DIR / f"{cfg.stem}.csv").read_bytes()
+            assert first.read_bytes() == golden, f"{cfg.name} table differs from its golden copy"
         assert (
             report.meta_path(first).read_bytes()
             == report.meta_path(second).read_bytes()
         ), f"{cfg.name} metadata"
     print(f"PASS 10: {len(configs)} shipped configs, two runs each, "
-          "byte-identical tables and metadata")
+          f"byte-identical tables and metadata, {len(analytic)} tables equal "
+          "to their golden copies")

@@ -1,0 +1,179 @@
+"""The event-driven wavefront core against the tick-by-tick reference.
+
+`oracles.wavefront_run` steps every tick: decay all bins, report center
+hits, then let each defender clear what its sensor swept. The library
+finds crossing ticks by search and decays lazily instead. Both replay the
+same phases, built here with the simulator's own planner, so breaches must
+agree exactly (count, kind, bin, tick time) and every radius to within
+1e-9 * R0. The golden tables pin the shipped simulate configs as they
+stood under the tick loop.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracles
+from sweepdefense import circular_pincer, cli, same_direction, simulator, spiral_pincer
+from sweepdefense.scenario import ProtocolKind, ScenarioParams
+from sweepdefense.simulator import BreachKind, SimConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CRITICAL = {
+    ProtocolKind.CIRCULAR_PINCER: circular_pincer.critical_speed,
+    ProtocolKind.SPIRAL_PINCER: spiral_pincer.critical_speed,
+    ProtocolKind.CIRCULAR_SAME_DIRECTION: same_direction.circular_same_critical_speed,
+    ProtocolKind.SPIRAL_SAME_DIRECTION: same_direction.spiral_same_critical_speed,
+}
+BASE = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
+
+
+def oracle_phases(phases):
+    out = []
+    for ph in phases:
+        if isinstance(ph, simulator._AdvancePhase):
+            out.append(oracles.OracleAdvance(ph.duration))
+        else:
+            out.append(
+                oracles.OracleSweep(
+                    ph.index, ph.duration, ph.span, ph.progress, ph.inner,
+                    ph.starts.tolist(), ph.dirs.tolist(),
+                )
+            )
+    return out
+
+
+def assert_matches_oracle(params, Vs, kind, grid):
+    rep = simulator.run(params, Vs, kind, grid)
+    mode, phases, _ = simulator._plan(params, Vs, kind, grid)
+    assert mode == rep.mode
+    tol = rep.grid_tolerance if grid.breach_tol is None else grid.breach_tol
+    ref = oracles.wavefront_run(
+        oracle_phases(phases), rep.bins, rep.dt, params.R0, params.r, params.VT, tol,
+        snap=simulator._EDGE_SNAP,
+    )
+    got = [(ev.t, ev.bin, ev.kind.value) for ev in rep.breaches]
+    want = [(t, j, kind_) for t, j, _, _, kind_ in ref.breaches]
+    assert got == want
+    close = 1e-9 * params.R0
+    for ev, (_, _, rho, inner, _) in zip(rep.breaches, ref.breaches):
+        assert ev.rho_at_pass == pytest.approx(rho, abs=close)
+        assert ev.sensor_inner == pytest.approx(inner, abs=close)
+    assert rep.t_final == ref.t_final
+    assert len(rep.sweeps) == len(ref.sweeps)
+    for rec, (index, t, rho_min, rho_max, margin) in zip(rep.sweeps, ref.sweeps):
+        assert (rec.index, rec.t) == (index, t)
+        assert rec.rho_min == pytest.approx(rho_min, abs=close)
+        assert rec.rho_max == pytest.approx(rho_max, abs=close)
+        assert rec.margin == pytest.approx(margin, abs=close)
+    if math.isinf(ref.min_margin):
+        assert rep.min_margin == ref.min_margin
+    else:
+        assert rep.min_margin == pytest.approx(ref.min_margin, abs=close)
+    if grid.capture_profiles:
+        assert len(rep.profiles) == len(ref.profiles)
+        for mine, theirs in zip(rep.profiles, ref.profiles):
+            assert np.abs(mine - theirs).max() <= close
+    return rep
+
+
+@pytest.mark.parametrize("n", [2, 32, 128])
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("below", [True, False])
+def test_defense_matches_tick_loop(n, kind, below):
+    params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
+    Vc = CRITICAL[kind](params)
+    Vs = params.VT + 0.75 * (Vc - params.VT) if below else 1.1 * Vc
+    grid = SimConfig(bins=1800, mode="defense", cycles=2, capture_profiles=True)
+    rep = assert_matches_oracle(params, Vs, kind, grid)
+    if below and kind in (ProtocolKind.CIRCULAR_PINCER, ProtocolKind.SPIRAL_PINCER):
+        assert rep.breaches, "the comparison should cover sensor breaches"
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_ten_sweep_expansion_matches_tick_loop(kind):
+    Vs = CRITICAL[kind](BASE) + 10.0 * BASE.VT
+    grid = SimConfig(bins=1800, mode="expansion", max_sweeps=10, capture_profiles=True)
+    assert_matches_oracle(BASE, Vs, kind, grid)
+
+
+@pytest.mark.parametrize("max_sweeps", [None, 3])
+def test_full_and_truncated_schedules_match_tick_loop(max_sweeps):
+    params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=5.0)
+    Vs = CRITICAL[ProtocolKind.SPIRAL_PINCER](params) + 10.0 * params.VT
+    grid = SimConfig(bins=720, mode="expansion", max_sweeps=max_sweeps)
+    rep = assert_matches_oracle(params, Vs, ProtocolKind.SPIRAL_PINCER, grid)
+    full = spiral_pincer.sweep_count(params, Vs)
+    assert len(rep.sweeps) == (full if max_sweeps is None else max_sweeps)
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.CIRCULAR_PINCER, ProtocolKind.SPIRAL_PINCER])
+def test_explicit_dt_with_remainder_tick_matches_tick_loop(kind):
+    Vs = 0.9 * CRITICAL[kind](BASE)
+    grid = SimConfig(bins=720, mode="defense", dt=0.0037, capture_profiles=True)
+    _, phases, _ = simulator._plan(BASE, Vs, kind, grid)
+    assert simulator._tick_lengths(phases[0].duration, grid.dt)[-1] < grid.dt
+    rep = assert_matches_oracle(BASE, Vs, kind, grid)
+    assert rep.breaches
+
+
+@pytest.mark.parametrize("Vs", [1.5, 1.2])
+def test_center_reached_matches_tick_loop(Vs):
+    # hopeless defenses: the front reaches 0 on (or within rounding of) a
+    # tick boundary, so only a step-by-step fall finds the loop's tick
+    params = ScenarioParams(R0=5.0, r=1.0, VT=1.0, n=2, eps=0.1)
+    grid = SimConfig(bins=720, mode="defense")
+    rep = assert_matches_oracle(params, Vs, ProtocolKind.CIRCULAR_PINCER, grid)
+    kinds = {ev.kind for ev in rep.breaches}
+    assert kinds == {BreachKind.CENTER_REACHED, BreachKind.UNDER_SENSOR}
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("kind", [ProtocolKind.CIRCULAR_PINCER, ProtocolKind.SPIRAL_PINCER])
+def test_pincer_meeting_bins_are_cleared(n, kind):
+    # at 3600 bins and n = 32 or 128 some bin centres sit exactly on a
+    # sector edge, where both pincer partners meet; each must clear them
+    params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
+    Vs = 1.1 * CRITICAL[kind](params)
+    rep = simulator.run(params, Vs, kind, SimConfig(mode="defense"))
+    assert rep.breaches == []
+    assert rep.min_margin > 0.0
+
+
+def test_integer_radius_runs_like_a_float_one():
+    as_int = ScenarioParams(R0=100, r=10.0, VT=1.0, n=2, eps=0.1)
+    got = simulator.run(as_int, 40.0, ProtocolKind.CIRCULAR_PINCER)
+    want = simulator.run(BASE, 40.0, ProtocolKind.CIRCULAR_PINCER)
+    assert got.sweeps == want.sweeps
+    assert got.breaches == want.breaches == []
+
+
+def read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", ["simulate-circular", "simulate-spiral"])
+def test_simulate_tables_match_golden(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    rc = cli.main(["simulate", "--config", str(ROOT / "configs" / f"{name}.cfg"), "--out", str(out)])
+    assert rc == 0
+    got, want = read_table(out), read_table(GOLDEN / f"{name}.csv")
+    assert len(got) == len(want)
+    assert list(got[0]) == list(want[0])
+    for row, gold in zip(got, want):
+        for col, value in gold.items():
+            try:
+                expected = float(value)
+            except ValueError:
+                assert row[col] == value, col
+                continue
+            if col in ("n", "bins", "index", "breaches"):
+                assert row[col] == value, col
+            else:
+                assert float(row[col]) == pytest.approx(expected, rel=1e-8, abs=1e-9), col
