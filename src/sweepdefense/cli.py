@@ -13,6 +13,7 @@ matching how the comparison scenarios are usually specified.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -31,7 +32,7 @@ from .errors import (
     SubcriticalSpeed,
 )
 from .report import Table
-from .scenario import ProtocolKind, ScenarioParams
+from .scenario import ProtocolKind, ScenarioParams, validate
 from .simulator import SimConfig
 
 
@@ -77,7 +78,7 @@ class RunConfig:
     format: str = "csv"
 
     def scenario(self, n: int, eps: float) -> ScenarioParams:
-        return ScenarioParams(R0=self.R0, r=self.r, VT=self.VT, n=n, eps=eps)
+        return validate(ScenarioParams(R0=self.R0, r=self.r, VT=self.VT, n=n, eps=eps))
 
 
 def _parse_int_list(text: str, key: str) -> Tuple[int, ...]:
@@ -99,20 +100,29 @@ def _parse_int_list(text: str, key: str) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _parse_float_list(text: str, key: str) -> Tuple[float, ...]:
     out: List[float] = []
     for token in filter(None, text.split(",")):
         try:
             if ":" in token:
-                lo, hi, step = (float(x) for x in token.split(":"))
+                lo, hi, step = (_finite(x) for x in token.split(":"))
                 if step <= 0.0:
                     raise ValueError("step must be positive")
                 count = int((hi - lo) / step + 1e-9) + 1
                 out.extend(lo + i * step for i in range(max(count, 0)))
             else:
-                out.append(float(token))
+                out.append(_finite(token))
         except ValueError as exc:
-            raise ConfigError(f"{key}={token!r}: expected float or lo:hi:step") from exc
+            raise ConfigError(
+                f"{key}={token!r}: expected a finite float or lo:hi:step"
+            ) from exc
     return tuple(out)
 
 
@@ -169,9 +179,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if raw is None or raw == "":
             return default
         try:
-            return float(raw)
+            return _finite(raw)
         except ValueError as exc:
-            raise ConfigError(f"{key}={raw!r}: expected a number") from exc
+            raise ConfigError(f"{key}={raw!r}: expected a finite number") from exc
 
     def integer(key: str, default: Optional[int]) -> Optional[int]:
         raw = pick(key)
@@ -257,12 +267,18 @@ def _pincer_module(kind: ProtocolKind):
     return None
 
 
+def _max_radius_for(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> float:
+    mod = _pincer_module(kind)
+    if mod is not None:
+        return mod.max_radius(params, Vs)
+    return same_direction.max_radius_same(params, Vs, kind)
+
+
 def _totals_for(params: ScenarioParams, Vs: float, kind: ProtocolKind):
     mod = _pincer_module(kind)
     if mod is not None:
         return mod.totals(params, Vs)
-    _, summary = same_direction.expansion_schedule_same(params, Vs, kind)
-    return summary
+    return same_direction.totals_same(params, Vs, kind)
 
 
 def _schedule_for(params: ScenarioParams, Vs: float, kind: ProtocolKind):
@@ -313,11 +329,7 @@ def cmd_max_radius(cfg: RunConfig) -> Table:
     for kind, n, eps, _, Vs in _grid(cfg):
         params = cfg.scenario(n, eps)
         try:
-            mod = _pincer_module(kind)
-            if mod is not None:
-                asym = mod.max_radius(params, Vs)
-            else:
-                asym = _totals_for(params, Vs, kind).R_asym
+            asym = _max_radius_for(params, Vs, kind)
         except _ROW_ERRORS as exc:
             table.append(kind.value, n, eps, Vs, None, None, type(exc).__name__)
             continue
@@ -411,11 +423,7 @@ def cmd_totals(cfg: RunConfig) -> Table:
             if cfg.target_radius is not None:
                 # fix the finish line instead of the asymptote gap: that
                 # makes totals comparable across protocols and n
-                asym = (
-                    _pincer_module(kind).max_radius(params, Vs)
-                    if _pincer_module(kind) is not None
-                    else _totals_for(params, Vs, kind).R_asym
-                )
+                asym = _max_radius_for(params, Vs, kind)
                 eps_eff = asym - cfg.target_radius
                 if eps_eff <= 0.0:
                     raise NoExpansion(

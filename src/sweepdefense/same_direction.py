@@ -11,7 +11,10 @@ recursion; they are derived here by carrying the pincer advance
 kinematics over to the same-direction sweep times, vanish their budget at
 the matching critical speeds, and are labeled "derived baseline" wherever
 the CLI serializes them. Their summaries come from direct summation only;
-no closed forms are claimed.
+no closed forms are claimed. The asymptote needs no iteration (a printed
+formula for circular, a bisection of the spiral budget), so
+`max_radius_same` answers from it alone; `totals_same` and
+`expansion_schedule_same` share one plain-float loop over the sweeps.
 """
 
 import math
@@ -35,8 +38,8 @@ _TWO_PI = 2.0 * math.pi
 
 _ITERATION_CAP = 10_000_000
 
-# Fixed bisection depth for the spiral same-direction asymptote; enough to
-# reach a few ulps on any double bracket.
+# Bisection depth cap for the spiral same-direction asymptote; the loop
+# stops once the midpoint rounds onto an end, after about 55 steps.
 _BISECT_STEPS = 200
 
 
@@ -128,6 +131,10 @@ def _spiral_same_asymptote(params: ScenarioParams, Vs: float) -> float:
     lo, hi = params.R0, 2.0 * params.r / (1.0 - lam_pincer) - params.r
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # the bracket can now only stay or collapse onto mid, so the
+            # remaining steps would all end on this same midpoint
+            break
         if budget(mid) > 0.0:
             lo = mid
         else:
@@ -135,17 +142,115 @@ def _spiral_same_asymptote(params: ScenarioParams, Vs: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _circular_same_step(params: ScenarioParams, Vs: float, R: float):
-    T = (_TWO_PI * R / params.n + params.r) / Vs
-    delta = params.r - params.VT * T
-    return T, delta, None
+def _targets(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> Tuple[float, float]:
+    """(R_asym, R_target) of a same-direction expansion, or the domain
+    error that rules the expansion out."""
+    if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
+        Vc = circular_same_critical_speed(params)
+        if Vs < Vc:
+            raise SubcriticalSpeed(
+                f"Vs={Vs} is below the circular same-direction critical speed {Vc}"
+            )
+        if Vs == Vc:
+            raise NoExpansion("at the critical speed the region never grows")
+        R_asym = params.n * params.r * (Vs - params.VT) / (_TWO_PI * params.VT)
+    elif kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
+        Vc = spiral_same_critical_speed(params)
+        if Vs < Vc:
+            raise SubcriticalSpeed(
+                f"Vs={Vs} is below the spiral same-direction critical speed {Vc}"
+            )
+        R_asym = _spiral_same_asymptote(params, Vs)
+    else:
+        raise InvalidParam(
+            "kind", f"expected a same-direction protocol kind, got {kind}"
+        )
+    R_target = R_asym - params.eps
+    if R_target <= params.R0:
+        raise NoExpansion(
+            f"eps={params.eps} leaves no expansion target above R0={params.R0}"
+        )
+    return R_asym, R_target
 
 
-def _spiral_same_step(params: ScenarioParams, Vs: float, R: float):
-    lam = _spiral_same_lam(params, Vs, R)
-    T = (R + params.r) * (1.0 - lam) / params.VT
-    delta = 2.0 * params.r - params.VT * T
-    return T, delta, R + params.r
+def max_radius_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> float:
+    """Asymptotic radius of a same-direction expansion, without iterating it.
+
+    Raises the same domain errors as the schedule, so a grid point gets
+    the same status from either.
+    """
+    return _targets(params, Vs, kind)[0]
+
+
+def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, R_target: float):
+    """Sweep-start radii, sweep times, raw and effective budgets, one
+    entry per sweep until the radius reaches R_target.
+
+    Plain floats only; the invariant factors are hoisted, every per-sweep
+    expression keeps the evaluation order of the step formulas.
+    """
+    n, r, VT = params.n, params.r, params.VT
+    spiral = kind is ProtocolKind.SPIRAL_SAME_DIRECTION
+    closing = Vs + VT
+    if spiral:
+        sector = _TWO_PI / n
+        two_r = 2.0 * r
+        two_r_Vs = two_r * Vs
+        lateral = math.sqrt(Vs * Vs - VT * VT)
+    R_list: List[float] = []
+    T_list: List[float] = []
+    delta_list: List[float] = []
+    eff_list: List[float] = []
+    R = params.R0
+    for _ in range(_ITERATION_CAP):
+        if spiral:
+            # the guard angle, hence lam, follows the sweep-start radius
+            span = sector + math.asin(two_r_Vs / (closing * (R + two_r)))
+            lam = math.exp(-span * VT / lateral)
+            T = (R + r) * (1.0 - lam) / VT
+            delta = two_r - VT * T
+        else:
+            # the sector plus one sensor half-length of overlap
+            T = (_TWO_PI * R / n + r) / Vs
+            delta = r - VT * T
+        delta_eff = delta * Vs / closing
+        R_list.append(R)
+        T_list.append(T)
+        delta_list.append(delta)
+        eff_list.append(delta_eff)
+        R += delta_eff
+        if R >= R_target:
+            break
+    else:
+        raise MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
+    return R_list, T_list, delta_list, eff_list
+
+
+def _summary(
+    Vs: float, R_asym: float, R_target: float, R_list, T_list, eff_list
+) -> ProtocolSummary:
+    R_last = R_list[-1]
+    T_out_last = (R_target - R_last) / Vs
+    T_sweep_total = sum(T_list)
+    T_out_total = sum(e / Vs for e in eff_list[:-1]) + T_out_last
+    return ProtocolSummary(
+        N_n=len(R_list),
+        R_last=R_last,
+        R_max=R_target,
+        R_asym=R_asym,
+        T_out_total=T_out_total,
+        T_sweep_total=T_sweep_total,
+        T_total=T_sweep_total + T_out_total,
+        T_out_last=T_out_last,
+    )
+
+
+def totals_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> ProtocolSummary:
+    """Summary of a derived same-direction expansion, by direct summation
+    over the sweeps, without building the per-sweep steps."""
+    R_asym, R_target = _targets(params, Vs, kind)
+    R_list, T_list, _, eff_list = _iterate(params, Vs, kind, R_target)
+    return _summary(Vs, R_asym, R_target, R_list, T_list, eff_list)
 
 
 def expansion_schedule_same(
@@ -157,68 +262,21 @@ def expansion_schedule_same(
     angle of the spiral variant is re-evaluated at every sweep-start
     radius, so its contraction factor changes from step to step.
     """
-    if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
-        Vc = circular_same_critical_speed(params)
-        if Vs < Vc:
-            raise SubcriticalSpeed(
-                f"Vs={Vs} is below the circular same-direction critical speed {Vc}"
-            )
-        if Vs == Vc:
-            raise NoExpansion("at the critical speed the region never grows")
-        R_asym = params.n * params.r * (Vs - params.VT) / (_TWO_PI * params.VT)
-        step = _circular_same_step
-    elif kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
-        Vc = spiral_same_critical_speed(params)
-        if Vs < Vc:
-            raise SubcriticalSpeed(
-                f"Vs={Vs} is below the spiral same-direction critical speed {Vc}"
-            )
-        R_asym = _spiral_same_asymptote(params, Vs)
-        step = _spiral_same_step
-    else:
-        raise InvalidParam(
-            "kind", f"expected a same-direction protocol kind, got {kind}"
+    R_asym, R_target = _targets(params, Vs, kind)
+    R_list, T_list, delta_list, eff_list = _iterate(params, Vs, kind, R_target)
+    spiral = kind is ProtocolKind.SPIRAL_SAME_DIRECTION
+    steps = [
+        ExpansionStep(
+            index=i,
+            R_i=R,
+            Rtilde_i=R + params.r if spiral else None,
+            delta_i=delta,
+            delta_eff_i=delta_eff,
+            T_sweep_i=T,
+            T_out_i=delta_eff / Vs,
         )
-    R_target = R_asym - params.eps
-    if R_target <= params.R0:
-        raise NoExpansion(
-            f"eps={params.eps} leaves no expansion target above R0={params.R0}"
+        for i, (R, T, delta, delta_eff) in enumerate(
+            zip(R_list, T_list, delta_list, eff_list)
         )
-
-    steps: List[ExpansionStep] = []
-    R = params.R0
-    while True:
-        T, delta, Rtilde = step(params, Vs, R)
-        delta_eff = delta * Vs / (Vs + params.VT)
-        steps.append(
-            ExpansionStep(
-                index=len(steps),
-                R_i=R,
-                Rtilde_i=Rtilde,
-                delta_i=delta,
-                delta_eff_i=delta_eff,
-                T_sweep_i=T,
-                T_out_i=delta_eff / Vs,
-            )
-        )
-        R += delta_eff
-        if R >= R_target:
-            break
-        if len(steps) >= _ITERATION_CAP:
-            raise MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
-
-    R_last = steps[-1].R_i
-    T_out_last = (R_target - R_last) / Vs
-    T_sweep_total = sum(s.T_sweep_i for s in steps)
-    T_out_total = sum(s.T_out_i for s in steps[:-1]) + T_out_last
-    summary = ProtocolSummary(
-        N_n=len(steps),
-        R_last=R_last,
-        R_max=R_target,
-        R_asym=R_asym,
-        T_out_total=T_out_total,
-        T_sweep_total=T_sweep_total,
-        T_total=T_sweep_total + T_out_total,
-        T_out_last=T_out_last,
-    )
-    return steps, summary
+    ]
+    return steps, _summary(Vs, R_asym, R_target, R_list, T_list, eff_list)

@@ -128,15 +128,15 @@ def spiral_same_lam(R, r, VT, n, Vs):
     return math.exp(-span * VT / math.sqrt(Vs * Vs - VT * VT))
 
 
-def spiral_same_asymptote(R0, r, VT, n, Vs, iters=200):
+def spiral_same_asymptote(R0, r, VT, n, Vs, iters=200, lo=0.0):
     """Radius where the same-direction spiral budget hits zero.
 
     delta(R) = 2r - (R+r)*(1-lam(R)) is decreasing in R; solve delta = 0 by
-    bisection between R0 and the (larger) spiral pincer asymptote.
+    bisection between lo and the (larger) spiral pincer asymptote, for a
+    fixed number of steps.
     """
     lam_pincer = math.exp(-2.0 * math.pi * VT / (n * math.sqrt(Vs * Vs - VT * VT)))
     hi = 2.0 * r / (1.0 - lam_pincer) - r
-    lo = 0.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         delta = 2.0 * r - (mid + r) * (1.0 - spiral_same_lam(mid, r, VT, n, Vs))
@@ -165,6 +165,45 @@ def spiral_same_run(R0, r, VT, n, eps, Vs, max_steps=500000) -> OracleRun:
         if R >= R_max:
             break
         assert len(steps) < max_steps, "oracle runaway"
+    return _finish(steps, R_asym, R_max, Vs)
+
+
+def same_direction_exact(R0, r, VT, n, eps, Vs, spiral, Vc, max_steps=10_000_000):
+    """The same-direction schedule as the library first computed it, float
+    for float: one step function per kind evaluated per sweep, and the
+    spiral asymptote bisected from R0 for the full 200 steps.
+
+    Vc is the kind's critical speed, passed in because the spiral one is a
+    root solve. Returns the name of the library's exception where it
+    raises SubcriticalSpeed, NoExpansion or MaxIterations, else the run.
+    """
+    if Vs < Vc:
+        return "SubcriticalSpeed"
+    if spiral:
+        R_asym = spiral_same_asymptote(R0, r, VT, n, Vs, lo=R0)
+    elif Vs == Vc:
+        return "NoExpansion"
+    else:
+        R_asym = n * r * (Vs - VT) / (2.0 * math.pi * VT)
+    R_max = R_asym - eps
+    if R_max <= R0:
+        return "NoExpansion"
+    steps: List[OracleStep] = []
+    R = R0
+    while True:
+        if spiral:
+            T = (R + r) * (1.0 - spiral_same_lam(R, r, VT, n, Vs)) / VT
+            delta = 2.0 * r - VT * T
+        else:
+            T = (2.0 * math.pi * R / n + r) / Vs
+            delta = r - VT * T
+        delta_eff = delta * Vs / (Vs + VT)
+        steps.append(OracleStep(R, T, delta, delta_eff, delta_eff / Vs))
+        R = R + delta_eff
+        if R >= R_max:
+            break
+        if len(steps) >= max_steps:
+            return "MaxIterations"
     return _finish(steps, R_asym, R_max, Vs)
 
 

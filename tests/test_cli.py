@@ -183,6 +183,35 @@ class TestExitCodes:
             "n,V_LB,Vc_circ_pincer,Vc_spiral_pincer,Vc_circ_same,Vc_spiral_same,status"
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "totals --n 3 --Vs 40",
+            "max-radius --VT -1 --Vs 40",
+            "critical-speeds --r 200",
+            "critical-speeds --n 0",
+            "totals --eps -1 --Vs 40",
+            "totals --Vs nan",
+            "sweep-count --Vs inf",
+            "totals --Vs 1:inf:1",
+            "totals --Vs 40 --target-radius nan",
+        ],
+    )
+    def test_invalid_scenario_is_config_error(self, capsys, argv):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("protocol", ["circular-same", "spiral-same"])
+    def test_same_direction_asymptote_ignores_the_sweep_cap(self, capsys, protocol):
+        # the schedule to eps short of this asymptote would exceed the cap
+        assert main(["max-radius", "--protocol", protocol, "--Vs", "1e9"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith(f"{protocol},2,0.1,1e+09,")
+        assert rows[1].endswith(",ok")
+
 
 class TestSubcommands:
     def test_critical_speeds_values(self, tmp_path):
