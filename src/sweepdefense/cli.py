@@ -155,11 +155,32 @@ def load_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-_KEYS = (
-    "R0", "r", "VT", "n", "eps", "protocol", "speed_mode", "Vs", "dV",
-    "ref_protocol", "ref_n", "target_radius", "bins", "dt", "mode",
-    "cycles", "max_sweeps", "out", "format",
-)
+# Every subcommand takes the same flags, one per config key plus --config,
+# in help order: key -> help. The flag is the key with "-" for "_".
+_FLAG_HELP = {
+    "config": "flat key=value config file",
+    "out": "write the table here instead of stdout",
+    "format": "csv or json (default csv)",
+    "R0": "initial protected radius",
+    "r": "sensor half-length",
+    "VT": "threat speed",
+    "n": "defender counts, e.g. 2,4 or 2:32:2",
+    "eps": "expansion stop gaps, comma list or lo:hi:step",
+    "Vs": "defender speeds (speed_mode=absolute)",
+    "dV": "speed offsets for the delta speed modes",
+    "protocol": "comma list of protocol names",
+    "speed_mode": "absolute, delta-own or delta-reference",
+    "ref_protocol": "delta-reference base protocol",
+    "ref_n": "delta-reference defender count",
+    "target_radius": "totals: stop at this radius instead of eps short of the asymptote",
+    "bins": "simulator angular bins (default 3600)",
+    "dt": "simulator tick, default auto",
+    "mode": "simulator mode: auto, defense or expansion",
+    "cycles": "simulator defense cycles (default 3)",
+    "max_sweeps": "simulator expansion cap",
+}
+
+_KEYS = tuple(key for key in _FLAG_HELP if key != "config")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -511,7 +532,7 @@ def cmd_simulate(cfg: RunConfig) -> Table:
                 rec.rho_max,
                 rec.margin,
                 rep.min_margin,
-                len(rep.breaches),
+                rep.breach_count,
                 "ok",
             )
     return table
@@ -550,36 +571,13 @@ def build_parser() -> argparse.ArgumentParser:
         "totals": "aggregate expansion times and radii",
         "simulate": "wavefront simulation trace per sweep",
     }
+    # declared once and copied into each subcommand: add_argument's
+    # formatter check then runs 20 times per parser build, not 120
+    flags = argparse.ArgumentParser(add_help=False)
+    for key, text in _FLAG_HELP.items():
+        flags.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
     for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="write the table here instead of stdout")
-        p.add_argument("--format", help="csv or json (default csv)")
-        p.add_argument("--R0", help="initial protected radius")
-        p.add_argument("--r", help="sensor half-length")
-        p.add_argument("--VT", help="threat speed")
-        p.add_argument("--n", help="defender counts, e.g. 2,4 or 2:32:2")
-        p.add_argument("--eps", help="expansion stop gaps, comma list or lo:hi:step")
-        p.add_argument("--Vs", help="defender speeds (speed_mode=absolute)")
-        p.add_argument("--dV", help="speed offsets for the delta speed modes")
-        p.add_argument("--protocol", help="comma list of protocol names")
-        p.add_argument(
-            "--speed-mode",
-            dest="speed_mode",
-            help="absolute, delta-own or delta-reference",
-        )
-        p.add_argument("--ref-protocol", dest="ref_protocol", help="delta-reference base protocol")
-        p.add_argument("--ref-n", dest="ref_n", help="delta-reference defender count")
-        p.add_argument(
-            "--target-radius",
-            dest="target_radius",
-            help="totals: stop at this radius instead of eps short of the asymptote",
-        )
-        p.add_argument("--bins", help="simulator angular bins (default 3600)")
-        p.add_argument("--dt", help="simulator tick, default auto")
-        p.add_argument("--mode", help="simulator mode: auto, defense or expansion")
-        p.add_argument("--cycles", help="simulator defense cycles (default 3)")
-        p.add_argument("--max-sweeps", dest="max_sweeps", help="simulator expansion cap")
+        sub.add_parser(name, help=helps[name], parents=[flags])
     return parser
 
 

@@ -32,6 +32,8 @@ from .errors import (
 )
 from .rootfind import RootProblem, solve
 from .scenario import ExpansionStep, ProtocolKind, ProtocolSummary, ScenarioParams
+from .spiral_pincer import _contraction as _spiral_pincer_contraction
+from .spiral_pincer import checked_contraction
 from .spiral_pincer import critical_speed as _spiral_pincer_speed
 
 _TWO_PI = 2.0 * math.pi
@@ -65,7 +67,9 @@ def guard_angle(params: ScenarioParams, Vs: float, R: float) -> float:
 
 def _spiral_same_lam(params: ScenarioParams, Vs: float, R: float) -> float:
     span = _TWO_PI / params.n + guard_angle(params, Vs, R)
-    return math.exp(-span * params.VT / math.sqrt(Vs * Vs - params.VT * params.VT))
+    return checked_contraction(
+        math.exp(-span * params.VT / math.sqrt(Vs * Vs - params.VT * params.VT)), Vs
+    )
 
 
 def spiral_same_critical_speed(params: ScenarioParams) -> float:
@@ -125,9 +129,7 @@ def _spiral_same_asymptote(params: ScenarioParams, Vs: float) -> float:
     def budget(R: float) -> float:
         return 2.0 * params.r - (R + params.r) * (1.0 - _spiral_same_lam(params, Vs, R))
 
-    lam_pincer = math.exp(
-        -_TWO_PI * params.VT / (params.n * math.sqrt(Vs * Vs - params.VT * params.VT))
-    )
+    lam_pincer = _spiral_pincer_contraction(params, Vs)
     lo, hi = params.R0, 2.0 * params.r / (1.0 - lam_pincer) - params.r
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)

@@ -28,9 +28,9 @@ excluded from reporting; steady state begins with the second sweep.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,6 +94,19 @@ class SimConfig:
     capture_profiles: bool = False      # keep a frontier copy per sweep end
 
 
+# one row per breach, in tick-loop order; center hits have rho and inner 0
+_BREACH_DTYPE = np.dtype(
+    [
+        ("t", np.float64),
+        ("bin", np.int64),
+        ("rho_at_pass", np.float64),
+        ("sensor_inner", np.float64),
+        ("center", np.bool_),
+    ]
+)
+_KIND_OF_CENTER = (BreachKind.UNDER_SENSOR, BreachKind.CENTER_REACHED)
+
+
 @dataclass(frozen=True)
 class SimReport:
     kind: ProtocolKind
@@ -104,8 +117,20 @@ class SimReport:
     t_final: float
     sweeps: List[SweepRecord]
     min_margin: float          # over all clearing events after the warm-up sweep
-    breaches: List[BreachEvent]
+    breach_log: np.ndarray = field(repr=False)  # _BREACH_DTYPE rows
     profiles: Optional[List[np.ndarray]] = None
+
+    @property
+    def breach_count(self) -> int:
+        return len(self.breach_log)
+
+    @cached_property
+    def breaches(self) -> List[BreachEvent]:
+        """The breach log as events, built on first access."""
+        return [
+            BreachEvent(t=t, bin=b, rho_at_pass=rho, sensor_inner=inner, kind=_KIND_OF_CENTER[c])
+            for t, b, rho, inner, c in self.breach_log.tolist()
+        ]
 
 
 @dataclass(frozen=True)
@@ -223,7 +248,7 @@ def _defense_plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, cycles:
     span = _span_at(params, Vs, kind, params.R0)
     if kind in _SPIRAL_KINDS:
         lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
-        lam = math.exp(-span * params.VT / lateral)
+        lam = spiral_pincer.checked_contraction(math.exp(-span * params.VT / lateral), Vs)
         duration = (params.R0 + params.r) * (1.0 - lam) / params.VT
         advance = 2.0 * params.r / (Vs + params.VT)
     else:
@@ -347,8 +372,10 @@ class _Frontier:
         self.firsts: List[int] = []  # first step of every phase begun
         self.phases: List[Tuple[float, Optional[float]]] = []  # (duration, dt)
         self.first, self.steps, self.t, self.level = 0, 0, 0.0, 0.0
-        # (step, 0 center | 1 sensor, defender, distance, bin, rho, inner, t)
-        self.events: List[tuple] = []
+        # column blocks (step, 0 center | 1 sensor, defender, distance, bin,
+        # rho, inner, t), one per recording sweep phase
+        self.blocks: List[Tuple[np.ndarray, ...]] = []
+        self.hits: List[Tuple[int, int, float]] = []  # center (step, bin, t)
 
     def begin(self, duration: float, dt: Optional[float]) -> np.ndarray:
         """Start the next phase: a sweep ticked at dt, or an advance (dt None)."""
@@ -412,27 +439,35 @@ class _Frontier:
             # 0 before this phase was recorded then: this hit lies in it
             step = begin + int(down[0])
             self.center_hit[b] = True
-            t = float(self.times[step - self.first])
-            self.events.append((step, 0, 0, 0.0, b, 0.0, 0.0, t))
+            self.hits.append((step, b, float(self.times[step - self.first])))
 
     def record(self, k, d, x, j, rho, inner) -> None:
         """Record sensor breaches at ticks k of this phase."""
-        cols = (d, x, j, rho, inner, self.times[k])
-        self.events.extend(zip((self.first + k).tolist(), repeat(1), *(c.tolist() for c in cols)))
+        if len(k):
+            sensor = np.ones(len(k), dtype=np.int64)
+            self.blocks.append((self.first + k, sensor, d, x, j, rho, inner, self.times[k]))
 
-    def breaches(self) -> List[BreachEvent]:
-        """Breaches in tick-loop order.
+    def breaches(self) -> np.ndarray:
+        """The breach log in tick-loop order, as _BREACH_DTYPE rows.
 
         By step; within a step center hits first, by bin; then sensor
         breaches by defender and, for one defender, in the order its
         sensor met them.
         """
-        self.events.sort()
-        kinds = (BreachKind.CENTER_REACHED, BreachKind.UNDER_SENSOR)
-        return [
-            BreachEvent(t=t, bin=b, rho_at_pass=rho, sensor_inner=inner, kind=kinds[sensor])
-            for _, sensor, _, _, b, rho, inner, t in self.events
-        ]
+        blocks = list(self.blocks)
+        if self.hits:
+            step, b, t = (np.array(c) for c in zip(*self.hits))
+            ints, floats = np.zeros(len(step), dtype=np.int64), np.zeros(len(step))
+            blocks.append((step, ints, ints, floats, b, floats, floats, t))
+        if not blocks:
+            return np.empty(0, dtype=_BREACH_DTYPE)
+        step, sensor, d, x, j, rho, inner, t = (np.concatenate(c) for c in zip(*blocks))
+        order = np.lexsort((t, inner, rho, j, x, d, sensor, step))
+        log = np.empty(len(order), dtype=_BREACH_DTYPE)
+        log["t"], log["bin"] = t[order], j[order]
+        log["rho_at_pass"], log["sensor_inner"] = rho[order], inner[order]
+        log["center"] = sensor[order] == 0
+        return log
 
 
 def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
@@ -569,7 +604,7 @@ def run(
         t_final=front.t,
         sweeps=sweeps,
         min_margin=min_margin,
-        breaches=front.breaches(),
+        breach_log=front.breaches(),
         profiles=profiles,
     )
 

@@ -20,6 +20,7 @@ from typing import Callable, List
 from .bounds import universal_lower_bound
 from .circular_pincer import critical_speed as _circular_critical_speed
 from .errors import (
+    InvalidParam,
     MaxIterations,
     NoBracket,
     NoExpansion,
@@ -50,9 +51,22 @@ class SpiralGeometry:
     Rs: Callable[[float], float] = field(repr=False)    # sensor-centre radius at time t
 
 
+def checked_contraction(lam: float, Vs: float) -> float:
+    """lam, unless it rounds to 1: then a sweep sheds nothing and every
+    1/(1 - lam) in the protocol formulas divides by zero."""
+    if lam == 1.0:
+        raise InvalidParam(
+            "Vs", f"{Vs} is so far above VT that the per-sweep contraction rounds to 1"
+        )
+    return lam
+
+
 def _contraction(params: ScenarioParams, Vs: float) -> float:
-    return math.exp(
-        -_TWO_PI * params.VT / (params.n * math.sqrt(Vs * Vs - params.VT * params.VT))
+    return checked_contraction(
+        math.exp(
+            -_TWO_PI * params.VT / (params.n * math.sqrt(Vs * Vs - params.VT * params.VT))
+        ),
+        Vs,
     )
 
 

@@ -1,16 +1,18 @@
 """CLI and table-emission checks: parsing, exit codes, byte stability."""
 
+import argparse
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from sweepdefense import circular_pincer, cli, report, same_direction, spiral_pincer
+from sweepdefense import circular_pincer, cli, report, same_direction, simulator, spiral_pincer
 from sweepdefense.cli import RunConfig, SpeedMode, build_config, load_config_file, main
 from sweepdefense.errors import ConfigError, RootNotFound
 from sweepdefense.report import Table
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
+from sweepdefense.simulator import SimConfig
 
 REF = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -195,6 +197,15 @@ class TestExitCodes:
             "sweep-count --Vs inf",
             "totals --Vs 1:inf:1",
             "totals --Vs 40 --target-radius nan",
+            # the spiral contraction per sweep rounds to 1 at these speeds
+            "max-radius --protocol spiral-pincer --Vs 1e17",
+            "totals --protocol spiral-pincer --Vs 1e17",
+            "sweep-count --protocol spiral-pincer --Vs 1e17",
+            "schedule --protocol spiral-pincer --Vs 1e17",
+            "simulate --protocol spiral-pincer --Vs 1e17 --bins 360",
+            "simulate --protocol spiral-pincer --Vs 1e17 --bins 360 --mode defense",
+            "max-radius --protocol spiral-same --Vs 1e17",
+            "simulate --protocol spiral-same --Vs 1e17 --bins 360 --mode defense",
         ],
     )
     def test_invalid_scenario_is_config_error(self, capsys, argv):
@@ -311,6 +322,31 @@ class TestSubcommands:
         assert row["breaches"] == 0
         assert row["min_margin"] > 0.0
         assert row["index"] == 2
+
+    def test_simulate_breach_count_matches_the_report(self, tmp_path):
+        Vs = 1.0 + 0.6 * (spiral_pincer.critical_speed(REF) - 1.0)
+        out = tmp_path / "t.csv"
+        assert main(
+            ["simulate", "--protocol", "spiral-pincer", "--Vs", repr(Vs),
+             "--mode", "defense", "--bins", "720", "--out", str(out)]
+        ) == 0
+        rep = simulator.run(
+            REF, Vs, ProtocolKind.SPIRAL_PINCER, SimConfig(bins=720, mode="defense")
+        )
+        counts = {row[-2] for row in report.read_table(out).rows}
+        assert rep.breach_count > 0
+        assert counts == {rep.breach_count} == {len(rep.breaches)}
+        assert rep.breaches is rep.breaches
+
+
+class TestParser:
+    def test_every_subcommand_takes_the_config_keys(self):
+        parser = cli.build_parser()
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(cli._COMMANDS)
+        for name, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions} - {"help"}
+            assert dests == set(cli._KEYS) | {"config"}, name
 
 
 class TestOutputStability:
