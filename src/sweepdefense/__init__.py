@@ -28,7 +28,6 @@ from .scenario import (
     ProtocolSummary,
     RecursionCoeffs,
     ScenarioParams,
-    SpeedSpec,
     validate,
 )
 from .bounds import universal_lower_bound
@@ -46,7 +45,6 @@ __all__ = [
     "RecursionCoeffs",
     "RootNotFound",
     "ScenarioParams",
-    "SpeedSpec",
     "SpeedTooLow",
     "SubcriticalSpeed",
     "universal_lower_bound",

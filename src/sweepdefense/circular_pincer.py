@@ -7,27 +7,21 @@ threat front creeps inward. Whatever sensor margin is left over after a
 sweep is spent pushing the ring outward before the next sweep begins.
 
 Everything here is a pure function of the scenario and the sweep speed.
-The recursion for the ring radius is affine, so sweep counts, the last
-radius, and the campaign totals all have closed forms; the schedule
-itself is produced by direct iteration, and the tests hold the two
-routes against each other.
+The ring radius follows the affine recursion of `affine` with sweep time
+2*pi*R/(n*Vs) and budget r; this module supplies those coefficients, the
+critical speed, and the single zero-advance step at exactly that speed.
 """
 
 import math
-from typing import List
+from typing import List, Tuple
 
+from . import affine
+from .affine import AffineRecursion
 from .bounds import universal_lower_bound
-from .errors import MaxIterations, NoExpansion, SubcriticalSpeed
+from .errors import NoExpansion
 from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioParams
 
 _TWO_PI = 2.0 * math.pi
-
-# Band around integer values of the closed-form sweep count inside which
-# the count is recomputed by direct iteration; taking a ceiling that close
-# to an integer is one rounding error away from an off-by-one.
-INTEGER_GUARD = 1e-9
-
-_ITERATION_CAP = 10_000_000
 
 
 def critical_speed(params: ScenarioParams) -> float:
@@ -39,84 +33,38 @@ def critical_speed(params: ScenarioParams) -> float:
     return 2.0 * universal_lower_bound(params)
 
 
-def _require_supercritical(params: ScenarioParams, Vs: float) -> float:
+def _ring(params: ScenarioParams, Vs: float) -> Tuple[AffineRecursion, bool]:
+    """The ring-radius recursion, once Vs is checked against the critical
+    speed, and whether Vs is exactly that speed."""
     Vc = critical_speed(params)
-    if Vs < Vc:
-        raise SubcriticalSpeed(
-            f"Vs={Vs} is below the circular pincer critical speed {Vc}"
-        )
-    return Vc
+    affine.check_speed(Vs, Vc, "circular pincer")
+    ring = AffineRecursion(
+        params, Vs, a_num=_TWO_PI, a_den=params.n * Vs, b=params.r, shift=0.0
+    )
+    return ring, Vs == Vc
+
+
+def _expanding(params: ScenarioParams, Vs: float) -> AffineRecursion:
+    ring, at_critical = _ring(params, Vs)
+    if at_critical:
+        raise NoExpansion("at the critical speed the ring never grows")
+    return ring
 
 
 def coeffs(params: ScenarioParams, Vs: float) -> RecursionCoeffs:
-    """Coefficients of the affine radius recursion R_{i+1} = c2*R_i + c1.
-
-    c3 converts a radius excess into the matching sweep-time excess.
-    """
-    _require_supercritical(params, Vs)
-    denom = params.n * (Vs + params.VT)
-    return RecursionCoeffs(
-        c1=params.r * Vs / (Vs + params.VT),
-        c2=1.0 - _TWO_PI * params.VT / denom,
-        c3=_TWO_PI * params.r / denom,
-    )
+    """Coefficients of the affine radius recursion R_{i+1} = c2*R_i + c1."""
+    return _ring(params, Vs)[0].coeffs()
 
 
 def max_radius(params: ScenarioParams, Vs: float) -> float:
     """Fixed point of the radius recursion: the radius the expansion
     approaches but never attains, n*Vs*r / (2*pi*VT)."""
-    _require_supercritical(params, Vs)
-    return params.n * Vs * params.r / (_TWO_PI * params.VT)
-
-
-def _expansion_targets(params: ScenarioParams, Vs: float):
-    """Validate the expansion task and return (R_asym, R_target).
-
-    Raises NoExpansion when the speed only suffices for defense or when
-    eps swallows all the headroom above R0.
-    """
-    Vc = _require_supercritical(params, Vs)
-    if Vs == Vc:
-        raise NoExpansion("at the critical speed the ring never grows")
-    R_asym = max_radius(params, Vs)
-    R_target = R_asym - params.eps
-    if R_target <= params.R0:
-        raise NoExpansion(
-            f"eps={params.eps} leaves no expansion target above R0={params.R0}"
-        )
-    return R_asym, R_target
-
-
-def _advance(params: ScenarioParams, Vs: float, R: float):
-    """One sweep at radius R: (T_sweep, delta, delta_eff)."""
-    T = _TWO_PI * R / (params.n * Vs)
-    delta = params.r - params.VT * T
-    return T, delta, delta * Vs / (Vs + params.VT)
-
-
-def _count_by_iteration(params: ScenarioParams, Vs: float, R_target: float) -> int:
-    R = params.R0
-    for i in range(1, _ITERATION_CAP + 1):
-        R += _advance(params, Vs, R)[2]
-        if R >= R_target:
-            return i
-    raise MaxIterations(
-        f"no convergence to R_target={R_target} within {_ITERATION_CAP} sweeps"
-    )
+    return _ring(params, Vs)[0].asymptote
 
 
 def sweep_count(params: ScenarioParams, Vs: float) -> int:
-    """Number of sweeps needed to push the ring to within eps of its limit.
-
-    Uses the closed-form ceiling of the geometric recursion, except within
-    INTEGER_GUARD of an integer, where the recursion is iterated instead.
-    """
-    R_asym, R_target = _expansion_targets(params, Vs)
-    c2 = coeffs(params, Vs).c2
-    x = math.log(params.eps / (R_asym - params.R0)) / math.log(c2)
-    if abs(x - round(x)) <= INTEGER_GUARD:
-        return _count_by_iteration(params, Vs, R_target)
-    return max(1, math.ceil(x))
+    """Number of sweeps needed to push the ring to within eps of its limit."""
+    return _expanding(params, Vs).sweep_count()
 
 
 def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]:
@@ -127,69 +75,23 @@ def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]
     advance duration. At Vs exactly equal to the critical speed the task
     degenerates to holding R0 and a single zero-advance step is returned.
     """
-    Vc = _require_supercritical(params, Vs)
-    if Vs == Vc:
-        T = _TWO_PI * params.R0 / (params.n * Vs)
-        return [
-            ExpansionStep(
-                index=0,
-                R_i=params.R0,
-                Rtilde_i=None,
-                delta_i=0.0,
-                delta_eff_i=0.0,
-                T_sweep_i=T,
-                T_out_i=0.0,
-            )
-        ]
-    _, R_target = _expansion_targets(params, Vs)
-    steps: List[ExpansionStep] = []
-    R = params.R0
-    while True:
-        T, delta, delta_eff = _advance(params, Vs, R)
-        steps.append(
-            ExpansionStep(
-                index=len(steps),
-                R_i=R,
-                Rtilde_i=None,
-                delta_i=delta,
-                delta_eff_i=delta_eff,
-                T_sweep_i=T,
-                T_out_i=delta_eff / Vs,
-            )
+    ring, at_critical = _ring(params, Vs)
+    if not at_critical:
+        return ring.schedule()
+    return [
+        ExpansionStep(
+            index=0,
+            R_i=params.R0,
+            Rtilde_i=None,
+            delta_i=0.0,
+            delta_eff_i=0.0,
+            T_sweep_i=ring.sweep_time(params.R0),
+            T_out_i=0.0,
         )
-        R += delta_eff
-        if R >= R_target:
-            return steps
-        if len(steps) >= _ITERATION_CAP:
-            raise MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
+    ]
 
 
 def totals(params: ScenarioParams, Vs: float) -> ProtocolSummary:
-    """Campaign summary from closed forms alone.
-
-    The outward time telescopes to n*r/(2*pi*VT) - (R0+eps)/Vs; the sweep
-    time is the geometric partial sum of the per-sweep durations. Both are
-    checked against direct summation of the schedule in the test suite.
-    """
-    R_asym, R_target = _expansion_targets(params, Vs)
-    N = sweep_count(params, Vs)
-    c2 = coeffs(params, Vs).c2
-    shrink_last = c2 ** (N - 1) * (params.R0 - R_asym)
-    R_last = R_asym + shrink_last
-    T_sweep_total = (
-        N * params.r / params.VT
-        + (params.R0 - R_asym) * (Vs + params.VT) * (1.0 - c2**N) / (Vs * params.VT)
-    )
-    T_out_total = params.n * params.r / (_TWO_PI * params.VT) - (
-        params.R0 + params.eps
-    ) / Vs
-    return ProtocolSummary(
-        N_n=N,
-        R_last=R_last,
-        R_max=R_target,
-        R_asym=R_asym,
-        T_out_total=T_out_total,
-        T_sweep_total=T_sweep_total,
-        T_total=T_sweep_total + T_out_total,
-        T_out_last=(R_target - R_last) / Vs,
-    )
+    """Campaign summary from closed forms alone; the outward time
+    telescopes to n*r/(2*pi*VT) - (R0+eps)/Vs."""
+    return _expanding(params, Vs).totals()

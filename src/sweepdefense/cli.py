@@ -15,12 +15,12 @@ matching how the comparison scenarios are usually specified.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, circular_pincer, report, same_direction, simulator, spiral_pincer
+from . import __version__, circular_pincer, protocols, report, same_direction, simulator, spiral_pincer
 from .bounds import universal_lower_bound
 from .errors import (
     ConfigError,
@@ -31,6 +31,7 @@ from .errors import (
     SpeedTooLow,
     SubcriticalSpeed,
 )
+from .protocols import CRITICAL as _CRITICAL
 from .report import Table
 from .scenario import ProtocolKind, ScenarioParams, validate
 from .simulator import SimConfig
@@ -43,13 +44,6 @@ class SpeedMode(Enum):
 
 
 _KIND_BY_NAME = {k.value: k for k in ProtocolKind}
-
-_CRITICAL: Dict[ProtocolKind, Callable[[ScenarioParams], float]] = {
-    ProtocolKind.CIRCULAR_PINCER: circular_pincer.critical_speed,
-    ProtocolKind.SPIRAL_PINCER: spiral_pincer.critical_speed,
-    ProtocolKind.CIRCULAR_SAME_DIRECTION: same_direction.circular_same_critical_speed,
-    ProtocolKind.SPIRAL_SAME_DIRECTION: same_direction.spiral_same_critical_speed,
-}
 
 # domain outcomes that mark a grid point instead of aborting the sweep
 _ROW_ERRORS = (SubcriticalSpeed, NoExpansion, SpeedTooLow)
@@ -280,36 +274,6 @@ def _resolved_speeds(
     return [(d, base + d) for d in cfg.dV]
 
 
-def _pincer_module(kind: ProtocolKind):
-    if kind is ProtocolKind.CIRCULAR_PINCER:
-        return circular_pincer
-    if kind is ProtocolKind.SPIRAL_PINCER:
-        return spiral_pincer
-    return None
-
-
-def _max_radius_for(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> float:
-    mod = _pincer_module(kind)
-    if mod is not None:
-        return mod.max_radius(params, Vs)
-    return same_direction.max_radius_same(params, Vs, kind)
-
-
-def _totals_for(params: ScenarioParams, Vs: float, kind: ProtocolKind):
-    mod = _pincer_module(kind)
-    if mod is not None:
-        return mod.totals(params, Vs)
-    return same_direction.totals_same(params, Vs, kind)
-
-
-def _schedule_for(params: ScenarioParams, Vs: float, kind: ProtocolKind):
-    mod = _pincer_module(kind)
-    if mod is not None:
-        return mod.expansion_schedule(params, Vs)
-    steps, _ = same_direction.expansion_schedule_same(params, Vs, kind)
-    return steps
-
-
 def _grid(cfg: RunConfig):
     """Deterministic row order: protocol, then n, then eps, then speed."""
     for kind in cfg.protocol:
@@ -350,7 +314,7 @@ def cmd_max_radius(cfg: RunConfig) -> Table:
     for kind, n, eps, _, Vs in _grid(cfg):
         params = cfg.scenario(n, eps)
         try:
-            asym = _max_radius_for(params, Vs, kind)
+            asym = protocols.max_radius(params, Vs, kind)
         except _ROW_ERRORS as exc:
             table.append(kind.value, n, eps, Vs, None, None, type(exc).__name__)
             continue
@@ -363,11 +327,7 @@ def cmd_sweep_count(cfg: RunConfig) -> Table:
     for kind, n, eps, _, Vs in _grid(cfg):
         params = cfg.scenario(n, eps)
         try:
-            mod = _pincer_module(kind)
-            if mod is not None:
-                count = mod.sweep_count(params, Vs)
-            else:
-                count = _totals_for(params, Vs, kind).N_n
+            count = protocols.totals(params, Vs, kind).N_n
         except _ROW_ERRORS as exc:
             table.append(kind.value, n, eps, Vs, None, type(exc).__name__)
             continue
@@ -395,7 +355,7 @@ def cmd_schedule(cfg: RunConfig) -> Table:
     for kind, n, eps, _, Vs in _grid(cfg):
         params = cfg.scenario(n, eps)
         try:
-            steps = _schedule_for(params, Vs, kind)
+            steps = protocols.schedule(params, Vs, kind)
         except _ROW_ERRORS as exc:
             table.append(
                 kind.value, n, eps, Vs, None, None, None, None, None, None, None,
@@ -444,7 +404,7 @@ def cmd_totals(cfg: RunConfig) -> Table:
             if cfg.target_radius is not None:
                 # fix the finish line instead of the asymptote gap: that
                 # makes totals comparable across protocols and n
-                asym = _max_radius_for(params, Vs, kind)
+                asym = protocols.max_radius(params, Vs, kind)
                 eps_eff = asym - cfg.target_radius
                 if eps_eff <= 0.0:
                     raise NoExpansion(
@@ -453,7 +413,7 @@ def cmd_totals(cfg: RunConfig) -> Table:
                     )
                 params = replace(params, eps=eps_eff)
                 eps = eps_eff
-            summary = _totals_for(params, Vs, kind)
+            summary = protocols.totals(params, Vs, kind)
         except _ROW_ERRORS as exc:
             table.append(
                 kind.value, n, eps, Vs, None, None, None, None, None, None, None,
@@ -581,29 +541,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _meta_value(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_meta_value(v) for v in value]
+    return value
+
+
 def _meta(cfg: RunConfig, subcommand: str) -> dict:
     return {
         "version": __version__,
         "subcommand": subcommand,
         "config": {
-            "R0": cfg.R0,
-            "r": cfg.r,
-            "VT": cfg.VT,
-            "n": list(cfg.n),
-            "eps": list(cfg.eps),
-            "protocol": [k.value for k in cfg.protocol],
-            "speed_mode": cfg.speed_mode.value,
-            "Vs": list(cfg.Vs),
-            "dV": list(cfg.dV),
-            "ref_protocol": cfg.ref_protocol.value,
-            "ref_n": cfg.ref_n,
-            "target_radius": cfg.target_radius,
-            "bins": cfg.bins,
-            "dt": cfg.dt,
-            "mode": cfg.mode,
-            "cycles": cfg.cycles,
-            "max_sweeps": cfg.max_sweeps,
-            "format": cfg.format,
+            f.name: _meta_value(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "out"
         },
     }
 

@@ -8,9 +8,13 @@ beta0 that shrinks as the region grows.
 The critical speeds below are printed formulas (circular) or a root of
 the published balance (spiral). The expansion schedules have no published
 recursion; they are derived here by carrying the pincer advance
-kinematics over to the same-direction sweep times, vanish their budget at
-the matching critical speeds, and are labeled "derived baseline" wherever
-the CLI serializes them. Their summaries come from direct summation only;
+kinematics over to the same-direction sweep times, and are labeled
+"derived baseline" wherever the CLI serializes them. The circular budget
+vanishes at its critical speed; the spiral one does not, because its
+asymptote bisects 2r - (R+r)*(1-lam) while its critical speed balances
+2r*Vs/(Vs+VT) against (R0+r)*(1-lam): at Vc the spiral asymptote already
+sits above R0 (by 6.5 for n = 2 up to 185 for n = 128 at R0 = 100,
+r = 10, VT = 1). Their summaries come from direct summation only;
 no closed forms are claimed. The asymptote needs no iteration (a printed
 formula for circular, a bisection of the spiral budget), so
 `max_radius_same` answers from it alone; `totals_same` and
@@ -21,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from .affine import ITERATION_CAP as _ITERATION_CAP
 from .circular_pincer import critical_speed as _circular_pincer_speed
 from .errors import (
     InvalidParam,
@@ -37,8 +42,6 @@ from .spiral_pincer import checked_contraction
 from .spiral_pincer import critical_speed as _spiral_pincer_speed
 
 _TWO_PI = 2.0 * math.pi
-
-_ITERATION_CAP = 10_000_000
 
 # Bisection depth cap for the spiral same-direction asymptote; the loop
 # stops once the midpoint rounds onto an end, after about 55 steps.

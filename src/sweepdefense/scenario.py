@@ -27,16 +27,6 @@ class ScenarioParams:
 
 
 @dataclass(frozen=True)
-class SpeedSpec:
-    """Bookkeeping for one resolved defender speed."""
-
-    Vs: float   # defender speed (at the sensor's guiding point)
-    dV: float   # excess above the protocol critical speed, Vs - Vc
-    Vc: float   # protocol critical speed for the instance
-    Vlb: float  # universal lower bound for the instance
-
-
-@dataclass(frozen=True)
 class RecursionCoeffs:
     """Affine per-sweep radius recursion R_{i+1} = c2 * R_i + c1.
 

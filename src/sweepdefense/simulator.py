@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import circular_pincer, same_direction, spiral_pincer
+from . import protocols, spiral_pincer
 from .errors import ConfigError, NoExpansion, SpeedTooLow
 from .scenario import ProtocolKind, ScenarioParams, validate
 
@@ -46,9 +46,6 @@ _TWO_PI = 2.0 * math.pi
 # can otherwise push a centre that lies where two pincer sectors meet just
 # outside both. Far above that rounding, far below a bin width.
 _EDGE_SNAP = 1e-12
-
-_PINCER_KINDS = (ProtocolKind.CIRCULAR_PINCER, ProtocolKind.SPIRAL_PINCER)
-_SPIRAL_KINDS = (ProtocolKind.SPIRAL_PINCER, ProtocolKind.SPIRAL_SAME_DIRECTION)
 
 
 class BreachKind(Enum):
@@ -150,32 +147,13 @@ class _AdvancePhase:
     duration: float
 
 
-def _critical_speed(params: ScenarioParams, kind: ProtocolKind) -> float:
-    if kind is ProtocolKind.CIRCULAR_PINCER:
-        return circular_pincer.critical_speed(params)
-    if kind is ProtocolKind.SPIRAL_PINCER:
-        return spiral_pincer.critical_speed(params)
-    if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
-        return same_direction.circular_same_critical_speed(params)
-    return same_direction.spiral_same_critical_speed(params)
-
-
-def _span_at(params: ScenarioParams, Vs: float, kind: ProtocolKind, R: float) -> float:
-    base = _TWO_PI / params.n
-    if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
-        return base + params.r / R
-    if kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
-        return base + same_direction.guard_angle(params, Vs, R)
-    return base
-
-
 def _sweep_starts(
     params: ScenarioParams, kind: ProtocolKind, index: int, span: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     n = params.n
     starts = np.empty(n)
     dirs = np.empty(n, dtype=np.int64)
-    if kind in _PINCER_KINDS:
+    if protocols.is_pincer(kind):
         outbound = index % 2 == 0  # even sweeps move apart from the pair axis
         for p in range(n // 2):
             axis = _TWO_PI * (2 * p) / n
@@ -204,7 +182,7 @@ def _make_sweep(
     span: float,
 ) -> _SweepPhase:
     VT = params.VT
-    if kind in _SPIRAL_KINDS:
+    if protocols.is_spiral(kind):
         lateral = math.sqrt(Vs * Vs - VT * VT)
         Rt0 = anchor + params.r
 
@@ -245,8 +223,8 @@ def _defense_plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, cycles:
     sweep a full sensor length below the frontier and climb back during a
     gap-closing advance of 2r/(Vs+VT) before re-anchoring.
     """
-    span = _span_at(params, Vs, kind, params.R0)
-    if kind in _SPIRAL_KINDS:
+    span = protocols.sweep_span(params, Vs, kind, params.R0)
+    if protocols.is_spiral(kind):
         lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
         lam = spiral_pincer.checked_contraction(math.exp(-span * params.VT / lateral), Vs)
         duration = (params.R0 + params.r) * (1.0 - lam) / params.VT
@@ -272,20 +250,13 @@ def _expansion_plan(
     only the effective outward time delta_eff/Vs, re-anchoring the sensor
     on the frontier where the next sweep's bookkeeping starts.
     """
-    if kind is ProtocolKind.CIRCULAR_PINCER:
-        steps = circular_pincer.expansion_schedule(params, Vs)
-        summary = circular_pincer.totals(params, Vs)
-    elif kind is ProtocolKind.SPIRAL_PINCER:
-        steps = spiral_pincer.expansion_schedule(params, Vs)
-        summary = spiral_pincer.totals(params, Vs)
-    else:
-        steps, summary = same_direction.expansion_schedule_same(params, Vs, kind)
+    steps, summary = protocols.expansion(params, Vs, kind)
     truncated = max_sweeps is not None and max_sweeps < len(steps)
     if truncated:
         steps = steps[:max_sweeps]
     phases: List = []
     for s in steps:
-        span = _span_at(params, Vs, kind, s.R_i)
+        span = protocols.sweep_span(params, Vs, kind, s.R_i)
         phases.append(
             _make_sweep(params, Vs, kind, s.index, s.R_i, s.T_sweep_i, span)
         )
@@ -302,7 +273,7 @@ def _resolve_mode(params: ScenarioParams, Vs: float, kind: ProtocolKind, mode: s
         return "defense"
     if mode == "expansion":
         return "expansion"
-    if Vs <= _critical_speed(params, kind):
+    if Vs <= protocols.CRITICAL[kind](params):
         return "defense"
     return "expansion"
 
@@ -616,7 +587,7 @@ def initial_poses(
     params = validate(params)
     if Vs <= params.VT:
         raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={params.VT}")
-    span = _span_at(params, Vs, kind, params.R0)
+    span = protocols.sweep_span(params, Vs, kind, params.R0)
     starts, dirs = _sweep_starts(params, kind, 0, span)
     return [
         DefenderPose(

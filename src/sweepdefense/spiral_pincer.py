@@ -17,27 +17,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List
 
+from . import affine
+from .affine import AffineRecursion
 from .bounds import universal_lower_bound
 from .circular_pincer import critical_speed as _circular_critical_speed
-from .errors import (
-    InvalidParam,
-    MaxIterations,
-    NoBracket,
-    NoExpansion,
-    RootNotFound,
-    SpeedTooLow,
-    SubcriticalSpeed,
-)
+from .errors import InvalidParam, MaxIterations, NoBracket, RootNotFound, SpeedTooLow
 from .rootfind import RootProblem, solve
-from .scenario import ExpansionStep, ProtocolSummary, ScenarioParams
+from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioParams
 
 _TWO_PI = 2.0 * math.pi
-
-# Same integer-boundary guard as the circular module: near-integral values
-# of the closed-form sweep count are recomputed by direct iteration.
-INTEGER_GUARD = 1e-9
-
-_ITERATION_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -121,14 +109,24 @@ def _balance(params: ScenarioParams, Vs: float) -> float:
 def critical_speed(params: ScenarioParams) -> float:
     """Slowest speed at which one spiral sweep covers what the front takes.
 
-    Root of the balance function, bracketed between just above VT (where
-    the balance is R0 - r > 0) and ten times the circular critical speed.
+    Root of the balance function. The bracket starts just above VT, where
+    the balance is about R0 > 0, or at the universal lower bound if that is
+    higher. Its upper end is ten times the circular critical speed whenever
+    the balance is negative there; for large teams (n*r beyond about
+    63*R0) that end falls below VT, and it is doubled until it brackets.
     """
     lo = max(params.VT * (1.0 + 1e-9), universal_lower_bound(params))
+    hi = 10.0 * _circular_critical_speed(params)
+    for _ in range(60):
+        if hi > lo and _balance(params, hi) <= 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise RootNotFound("spiral critical speed search failed: no upper bracket")
     problem = RootProblem(
         objective=lambda Vs: _balance(params, Vs),
         bracket_lo=lo,
-        bracket_hi=10.0 * _circular_critical_speed(params),
+        bracket_hi=hi,
         guess=critical_speed_initial_guess(params),
         tol_f=1e-10 * params.r,
     )
@@ -138,12 +136,23 @@ def critical_speed(params: ScenarioParams) -> float:
         raise RootNotFound(f"spiral critical speed search failed: {exc}") from exc
 
 
-def _require_supercritical(params: ScenarioParams, Vs: float) -> None:
-    Vc = critical_speed(params)
-    if Vs < Vc:
-        raise SubcriticalSpeed(
-            f"Vs={Vs} is below the spiral pincer critical speed {Vc}"
-        )
+def _sensor_centre(params: ScenarioParams, Vs: float) -> AffineRecursion:
+    """The sensor-centre recursion, once Vs is checked against the
+    critical speed: a sweep at Rtilde takes Rtilde*(1-lam)/VT."""
+    affine.check_speed(Vs, critical_speed(params), "spiral pincer")
+    return AffineRecursion(
+        params,
+        Vs,
+        a_num=1.0 - _contraction(params, Vs),
+        a_den=params.VT,
+        b=2.0 * params.r,
+        shift=params.r,
+    )
+
+
+def coeffs(params: ScenarioParams, Vs: float) -> RecursionCoeffs:
+    """Coefficients of Rtilde_{i+1} = c2*Rtilde_i + c1."""
+    return _sensor_centre(params, Vs).coeffs()
 
 
 def max_radius(params: ScenarioParams, Vs: float) -> float:
@@ -152,8 +161,7 @@ def max_radius(params: ScenarioParams, Vs: float) -> float:
     This is the fixed point the expansion actually converges to; see
     max_radius_alternative for a published variant.
     """
-    _require_supercritical(params, Vs)
-    return 2.0 * params.r / (1.0 - _contraction(params, Vs)) - params.r
+    return _sensor_centre(params, Vs).asymptote
 
 
 def max_radius_alternative(params: ScenarioParams, Vs: float) -> float:
@@ -162,55 +170,13 @@ def max_radius_alternative(params: ScenarioParams, Vs: float) -> float:
     Differs from max_radius by a factor Vs/(Vs+VT) on the leading term and
     is exposed for comparison only; no schedule or total uses it.
     """
-    _require_supercritical(params, Vs)
-    lam = _contraction(params, Vs)
-    return 2.0 * params.r * Vs / ((1.0 - lam) * (Vs + params.VT)) - params.r
-
-
-def _recursion(params: ScenarioParams, Vs: float):
-    """(lam, c1, c2) for Rtilde_{i+1} = c2*Rtilde_i + c1."""
-    lam = _contraction(params, Vs)
-    c1 = 2.0 * params.r * Vs / (Vs + params.VT)
-    c2 = (params.VT + Vs * lam) / (Vs + params.VT)
-    return lam, c1, c2
-
-
-def _expansion_targets(params: ScenarioParams, Vs: float):
-    """Validate the expansion task; returns (R_asym, R_target)."""
-    _require_supercritical(params, Vs)
-    R_asym = 2.0 * params.r / (1.0 - _contraction(params, Vs)) - params.r
-    R_target = R_asym - params.eps
-    if R_target <= params.R0:
-        raise NoExpansion(
-            f"eps={params.eps} leaves no expansion target above R0={params.R0}"
-        )
-    return R_asym, R_target
-
-
-def _advance(params: ScenarioParams, Vs: float, lam: float, Rt: float):
-    """One sweep at sensor-centre radius Rt: (T_sweep, delta, delta_eff)."""
-    T = Rt * (1.0 - lam) / params.VT
-    delta = 2.0 * params.r - params.VT * T
-    return T, delta, delta * Vs / (Vs + params.VT)
+    one_minus_lam = _sensor_centre(params, Vs).a_num
+    return 2.0 * params.r * Vs / (one_minus_lam * (Vs + params.VT)) - params.r
 
 
 def sweep_count(params: ScenarioParams, Vs: float) -> int:
     """Sweeps needed to push the boundary to within eps of the asymptote."""
-    R_asym, R_target = _expansion_targets(params, Vs)
-    lam, _, c2 = _recursion(params, Vs)
-    Rt_fix = R_asym + params.r
-    x = math.log(params.eps / (Rt_fix - params.R0 - params.r)) / math.log(c2)
-    if abs(x - round(x)) <= INTEGER_GUARD:
-        Rt = params.R0 + params.r
-        Rt_target = R_target + params.r
-        for i in range(1, _ITERATION_CAP + 1):
-            Rt += _advance(params, Vs, lam, Rt)[2]
-            if Rt >= Rt_target:
-                return i
-        raise MaxIterations(
-            f"no convergence to R_target={R_target} within {_ITERATION_CAP} sweeps"
-        )
-    return max(1, math.ceil(x))
+    return _sensor_centre(params, Vs).sweep_count()
 
 
 def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]:
@@ -220,58 +186,10 @@ def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]
     critical speed: the balance there still leaves delta_0 = 2r*VT/(Vs+VT)
     of budget, so the schedule is always a genuine expansion.
     """
-    _, R_target = _expansion_targets(params, Vs)
-    lam, _, _ = _recursion(params, Vs)
-    Rt_target = R_target + params.r
-    steps: List[ExpansionStep] = []
-    Rt = params.R0 + params.r
-    while True:
-        T, delta, delta_eff = _advance(params, Vs, lam, Rt)
-        steps.append(
-            ExpansionStep(
-                index=len(steps),
-                R_i=Rt - params.r,
-                Rtilde_i=Rt,
-                delta_i=delta,
-                delta_eff_i=delta_eff,
-                T_sweep_i=T,
-                T_out_i=delta_eff / Vs,
-            )
-        )
-        Rt += delta_eff
-        if Rt >= Rt_target:
-            return steps
-        if len(steps) >= _ITERATION_CAP:
-            raise MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
+    return _sensor_centre(params, Vs).schedule()
 
 
 def totals(params: ScenarioParams, Vs: float) -> ProtocolSummary:
-    """Campaign summary from closed forms alone.
-
-    The sweep total is the geometric partial sum of Rtilde_i*(1-lam)/VT;
-    the outward total telescopes across sweeps. Both are held against the
-    schedule summation in the test suite.
-    """
-    R_asym, R_target = _expansion_targets(params, Vs)
-    N = sweep_count(params, Vs)
-    lam, _, c2 = _recursion(params, Vs)
-    Rt_fix = R_asym + params.r
-    Rt0 = params.R0 + params.r
-    shrink_last = c2 ** (N - 1) * (Rt0 - Rt_fix)
-    R_last = Rt_fix + shrink_last - params.r
-    T_sweep_total = ((1.0 - lam) / params.VT) * (
-        N * Rt_fix + (Rt0 - Rt_fix) * (1.0 - c2**N) / (1.0 - c2)
-    )
-    T_out_total = (
-        lam * (params.R0 + params.r + params.eps) + params.r - params.R0 - params.eps
-    ) / (Vs * (1.0 - lam))
-    return ProtocolSummary(
-        N_n=N,
-        R_last=R_last,
-        R_max=R_target,
-        R_asym=R_asym,
-        T_out_total=T_out_total,
-        T_sweep_total=T_sweep_total,
-        T_total=T_sweep_total + T_out_total,
-        T_out_last=(R_target - R_last) / Vs,
-    )
+    """Campaign summary from closed forms alone, over Rtilde; the outward
+    time telescopes to (R_max - R0)/Vs."""
+    return _sensor_centre(params, Vs).totals()

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,11 @@ class TestExitCodes:
             "simulate --protocol spiral-pincer --Vs 1e17 --bins 360 --mode defense",
             "max-radius --protocol spiral-same --Vs 1e17",
             "simulate --protocol spiral-same --Vs 1e17 --bins 360 --mode defense",
+            # the circular per-sweep contraction c2 rounds to 1 here
+            "totals --protocol circular-pincer --Vs 1e17",
+            "sweep-count --protocol circular-pincer --Vs 1e17",
+            "schedule --protocol circular-pincer --Vs 1e17",
+            "simulate --protocol circular-pincer --Vs 1e17 --bins 360",
         ],
     )
     def test_invalid_scenario_is_config_error(self, capsys, argv):
@@ -213,6 +219,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("Vs", ["1e7", "1e9", "1e15"])
+    def test_schedule_past_the_sweep_cap_fails_before_iterating(self, capsys, Vs):
+        # the closed-form count is above the cap, so no sweep is iterated
+        assert main(["schedule", "--protocol", "circular-pincer", "--Vs", Vs]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_large_team_spiral_speed_is_found(self, capsys):
+        # n*r = 64*R0: ten times the circular critical speed is below VT
+        assert main(["critical-speeds", "--R0", "100", "--r", "50", "--n", "128"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[-1] == "ok"
+        assert float(row[3]) > 1.0
 
     @pytest.mark.parametrize("protocol", ["circular-same", "spiral-same"])
     def test_same_direction_asymptote_ignores_the_sweep_cap(self, capsys, protocol):
@@ -368,6 +387,14 @@ class TestOutputStability:
         assert meta["config"]["n"] == [2, 4]
         assert "version" in meta
         assert not any("time" in k.lower() or "date" in k.lower() for k in meta)
+
+    def test_meta_config_holds_every_field_but_out(self, tmp_path):
+        out = tmp_path / "t.csv"
+        main(["critical-speeds", "--n", "2,4", "--out", str(out)])
+        config = json.loads(report.meta_path(out).read_text())["config"]
+        assert set(config) == {f.name for f in fields(RunConfig)} - {"out"}
+        assert config["protocol"] == ["circular-pincer"]
+        assert config["speed_mode"] == "absolute"
 
     def test_no_sidecar_on_stdout(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -133,6 +133,19 @@ class TestCriticalSpeed:
             assert guess < root, f"n={n}: guess {guess} not below root {root}"
             assert guess < circ
 
+    @pytest.mark.parametrize("VT", [0.2, 1.0, 7.0])
+    def test_large_teams_keep_a_bracket(self, VT):
+        # from n*r ~ 63*R0 on, ten times the circular critical speed falls
+        # below VT; the root must still be found and balance there
+        for ratio in (0.4921875, 0.5, 0.7, 0.9, 0.99):
+            for n in range(2, 130, 2):
+                if n * ratio < 63.0:
+                    continue
+                p = make(R0=100.0, r=100.0 * ratio, VT=VT, n=n)
+                root = spiral_pincer.critical_speed(p)
+                assert root >= max(p.VT, universal_lower_bound(p))
+                assert abs(spiral_pincer._balance(p, root)) <= 1e-10 * p.r
+
     @given(supercritical_cases(), st.sampled_from([0.5, 2.0, 4.0]))
     @settings(max_examples=40, deadline=None)
     def test_root_invariant_under_length_rescale(self, case, k):
