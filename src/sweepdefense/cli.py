@@ -13,6 +13,7 @@ matching how the comparison scenarios are usually specified.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -75,6 +76,19 @@ class RunConfig:
         return validate(ScenarioParams(R0=self.R0, r=self.r, VT=self.VT, n=n, eps=eps))
 
 
+# Most values one list key may hold. A lo:hi:step token is counted before
+# it is expanded, so a token like 2:2000000000:2 is refused at once instead
+# of growing time and memory with its count.
+MAX_LIST_VALUES = 1_000_000
+
+
+def _check_count(key: str, token: str, have: int, count: int) -> None:
+    if have + count > MAX_LIST_VALUES:
+        raise ConfigError(
+            f"{key}={token!r}: more than {MAX_LIST_VALUES} values in one key"
+        )
+
+
 def _parse_int_list(text: str, key: str) -> Tuple[int, ...]:
     out: List[int] = []
     for token in filter(None, text.split(",")):
@@ -83,14 +97,14 @@ def _parse_int_list(text: str, key: str) -> Tuple[int, ...]:
                 lo, hi, step = (int(x) for x in token.split(":"))
                 if step == 0:
                     raise ValueError("zero step")
-                v = lo
-                while (v <= hi) if step > 0 else (v >= hi):
-                    out.append(v)
-                    v += step
+                count = max((hi - lo) // step + 1, 0)  # inclusive of hi
+                values = range(lo, lo + count * step, step)
             else:
-                out.append(int(token))
+                count, values = 1, (int(token),)
         except ValueError as exc:
             raise ConfigError(f"{key}={token!r}: expected int or lo:hi:step") from exc
+        _check_count(key, token, len(out), count)
+        out.extend(values)
     return tuple(out)
 
 
@@ -109,14 +123,18 @@ def _parse_float_list(text: str, key: str) -> Tuple[float, ...]:
                 lo, hi, step = (_finite(x) for x in token.split(":"))
                 if step <= 0.0:
                     raise ValueError("step must be positive")
-                count = int((hi - lo) / step + 1e-9) + 1
-                out.extend(lo + i * step for i in range(max(count, 0)))
+                # clamped before int(): the quotient is inf when hi - lo overflows
+                span = min((hi - lo) / step + 1e-9, MAX_LIST_VALUES)
+                count = int(span) + 1 if span > -1.0 else 0
+                values = (lo + i * step for i in range(count))
             else:
-                out.append(_finite(token))
+                count, values = 1, (_finite(token),)
         except ValueError as exc:
             raise ConfigError(
                 f"{key}={token!r}: expected a finite float or lo:hi:step"
             ) from exc
+        _check_count(key, token, len(out), count)
+        out.extend(values)
     return tuple(out)
 
 
@@ -515,7 +533,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.
+
+    parse_args leaves the parser as it was and returns a fresh Namespace,
+    so every main() call can share one tree; callers must not modify it.
+    """
     parser = _Parser(
         prog="sweepdefense",
         description="Sweep-defense protocol tables: critical speeds, "

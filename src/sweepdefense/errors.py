@@ -28,7 +28,15 @@ class SpeedTooLow(ProtocolError):
 
 
 class NoBracket(ProtocolError):
-    """Root bracketing failed: the objective has the same sign at both ends."""
+    """Root bracketing failed: the objective has the same sign at both ends.
+
+    Carries both ends and their objective values, so a caller can widen
+    the bracket without evaluating the objective there again.
+    """
+
+    def __init__(self, lo: float, f_lo: float, hi: float, f_hi: float):
+        self.lo, self.f_lo, self.hi, self.f_hi = lo, f_lo, hi, f_hi
+        super().__init__(f"objective({lo}) = {f_lo} and objective({hi}) = {f_hi} share a sign")
 
 
 class MaxIterations(ProtocolError):

@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -36,16 +37,6 @@ class Table:
         self.rows.append(list(values))
 
 
-def _csv_cell(value: Cell) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return ""
-        return FLOAT_FORMAT % value
-    return str(value)
-
-
 def _json_cell(value: Cell) -> Cell:
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -55,11 +46,35 @@ def _json_cell(value: Cell) -> Cell:
 
 
 def render_csv(table: Table) -> str:
+    """CSV text, one line per row, written as the csv module writes it.
+
+    Cells are formatted inline and joined with ","; only a line the csv
+    module would write differently goes through csv.writer: one holding
+    a quote or line break, a cell holding a comma, or a row that is a
+    lone empty cell (written as "").
+    """
     buf = io.StringIO()
+    write = buf.write
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    isfinite = math.isfinite
+    for row in chain((table.columns,), table.rows):
+        cells = [
+            (FLOAT_FORMAT % v if isfinite(v) else "") if isinstance(v, float)
+            else "" if v is None else str(v)
+            for v in row
+        ]
+        line = ",".join(cells)
+        if (
+            line
+            and line.count(",") == len(cells) - 1
+            and '"' not in line
+            and "\r" not in line
+            and "\n" not in line
+        ):
+            write(line)
+            write("\n")
+        else:
+            writer.writerow(cells)
     return buf.getvalue()
 
 

@@ -66,7 +66,7 @@ def solve(p: RootProblem) -> float:
     if fhi == 0.0:
         return hi
     if (flo < 0.0) == (fhi < 0.0):
-        raise NoBracket(f"objective({lo}) = {flo} and objective({hi}) = {fhi} share a sign")
+        raise NoBracket(lo, flo, hi, fhi)
 
     tol_x = p.tol_x if p.tol_x is not None else 1e-12 * (hi - lo)
 

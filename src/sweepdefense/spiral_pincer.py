@@ -114,26 +114,29 @@ def critical_speed(params: ScenarioParams) -> float:
     higher. Its upper end is ten times the circular critical speed whenever
     the balance is negative there; for large teams (n*r beyond about
     63*R0) that end falls below VT, and it is doubled until it brackets.
+    The solver evaluates each upper end; it is doubled only while the
+    balance there is still positive.
     """
     lo = max(params.VT * (1.0 + 1e-9), universal_lower_bound(params))
-    hi = 10.0 * _circular_critical_speed(params)
-    for _ in range(60):
-        if hi > lo and _balance(params, hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise RootNotFound("spiral critical speed search failed: no upper bracket")
     problem = RootProblem(
         objective=lambda Vs: _balance(params, Vs),
         bracket_lo=lo,
-        bracket_hi=hi,
+        bracket_hi=10.0 * _circular_critical_speed(params),
         guess=critical_speed_initial_guess(params),
         tol_f=1e-10 * params.r,
     )
     try:
-        return solve(problem)
+        for _ in range(60):
+            if problem.bracket_hi > lo:
+                try:
+                    return solve(problem)
+                except NoBracket as exc:
+                    if exc.f_hi <= 0.0:
+                        raise
+            problem.bracket_hi *= 2.0
     except (NoBracket, MaxIterations) as exc:
         raise RootNotFound(f"spiral critical speed search failed: {exc}") from exc
+    raise RootNotFound("spiral critical speed search failed: no upper bracket")
 
 
 def _sensor_centre(params: ScenarioParams, Vs: float) -> AffineRecursion:

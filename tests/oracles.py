@@ -7,8 +7,12 @@ geometric-series formula, these oracles answer by brute force; agreement
 between the two routes is the point of the comparison. The wavefront
 replay at the end steps the simulator's frontier one tick at a time, the
 way the library did before its crossing search replaced the tick loop.
+The CSV renderer at the very end writes every row through csv.writer, the
+way the report module did before it joined plain lines itself.
 """
 
+import csv
+import io
 import math
 from typing import Callable, List, NamedTuple
 
@@ -309,3 +313,24 @@ def wavefront_run(phases, bins, dt, R0, r, VT, breach_tol, snap) -> OracleWavefr
         profiles.append(rho.copy())
 
     return OracleWavefront(t, sweeps, min_margin, breaches, profiles)
+
+
+def _csv_cell(value, float_format: str) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return ""
+        return float_format % value
+    return str(value)
+
+
+def csv_render(columns, rows, float_format: str = "%.9g") -> str:
+    """Reference CSV text: each cell through one formatting function, each
+    row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_cell(v, float_format) for v in row])
+    return buf.getvalue()

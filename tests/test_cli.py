@@ -3,10 +3,14 @@
 import argparse
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sweepdefense import circular_pincer, cli, report, same_direction, simulator, spiral_pincer
 from sweepdefense.cli import RunConfig, SpeedMode, build_config, load_config_file, main
@@ -14,6 +18,8 @@ from sweepdefense.errors import ConfigError, RootNotFound
 from sweepdefense.report import Table
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
 from sweepdefense.simulator import SimConfig
+
+from oracles import csv_render
 
 REF = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -60,6 +66,46 @@ class TestListParsing:
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError):
             cli._parse_protocols("helical-pincer", "protocol")
+
+    @pytest.mark.parametrize(
+        "parse, key, at_limit, over_limit",
+        [
+            (cli._parse_int_list, "n", "1:5:1", "1:6:1"),
+            (cli._parse_int_list, "n", "9:1:-2", "11:1:-2"),
+            (cli._parse_int_list, "n", "1,2:5:1", "1,2:6:1"),
+            (cli._parse_float_list, "eps", "0:2:0.5", "0:2.5:0.5"),
+            (cli._parse_float_list, "Vs", "1,2,3,4,5", "1,2,3,4,5,6"),
+        ],
+    )
+    def test_values_per_key_are_limited(self, monkeypatch, parse, key, at_limit, over_limit):
+        monkeypatch.setattr(cli, "MAX_LIST_VALUES", 5)
+        assert len(parse(at_limit, key)) == 5
+        with pytest.raises(ConfigError, match=f"^{key}=.*more than 5 values"):
+            parse(over_limit, key)
+
+    @pytest.mark.parametrize(
+        "parse, token",
+        [
+            (cli._parse_int_list, "1:1000001:1"),
+            (cli._parse_int_list, "-1:-2000001:-2"),
+            (cli._parse_float_list, "0:1000000:1"),
+            (cli._parse_float_list, "-1e308:1e308:1"),
+        ],
+    )
+    def test_oversized_range_is_refused_before_expanding(self, parse, token):
+        # just over the limit, so that expanding would cost megabytes, not
+        # hours; the refusal itself must take almost no memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="more than 1000000 values"):
+                parse(token, "key")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_float_range_past_the_overflow_is_empty(self):
+        assert cli._parse_float_list("1e308:-1e308:1", "eps") == ()
 
 
 class TestConfigFile:
@@ -142,11 +188,55 @@ class TestTableModel:
         with pytest.raises(ConfigError):
             report.read_table(path)
 
+    @pytest.mark.parametrize(
+        "columns, rows, text",
+        [
+            (["x"], [], "x\n"),
+            (["x"], [[""], [None], ["a"]], 'x\n""\n""\na\n'),
+            (["a", "b"], [[None, None], ["p,q", 'say "hi"']], 'a,b\n,\n"p,q","say ""hi"""\n'),
+            (["a", "b"], [[True, -0.0], [1e300, np.float64(1.0 / 3.0)]], "a,b\nTrue,-0\n1e+300,0.333333333\n"),
+        ],
+    )
+    def test_csv_text(self, columns, rows, text):
+        assert report.render_csv(Table(columns, rows)) == text
+
     def test_format_inferred_from_suffix(self, tmp_path):
         t = Table(["a"])
         t.append(1)
         report.write_table(t, tmp_path / "t.json", "json")
         assert report.read_table(tmp_path / "t.json").rows == [[1]]
+
+
+_FIELD_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "1", "-", "\t"]), max_size=5)
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 1e300, 5e-324]),
+    _FIELD_TEXT,
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(min_value=1, max_value=4))
+    columns = draw(st.lists(_FIELD_TEXT | st.text(max_size=5), min_size=width, max_size=width))
+    table = Table(columns)
+    for row in draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=6)):
+        table.append(*row)
+    return table
+
+
+class TestCsvRenderer:
+    @given(_tables())
+    @settings(max_examples=400, deadline=None)
+    @example(Table([""], [[None], [math.nan]]))
+    @example(Table(["a", "b"], [[",", '"'], ["\r", "\n"], [" ", ""]]))
+    def test_matches_the_csv_writer_reference(self, table):
+        assert report.render_csv(table) == csv_render(table.columns, table.rows)
 
 
 class TestExitCodes:
@@ -359,6 +449,44 @@ class TestSubcommands:
 
 
 class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_flag_leaks_into_the_next_call(self, capsys):
+        assert main(["totals", "--Vs", "40", "--n", "4", "--R0", "50"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("circular-pincer,4,")
+        assert main(["totals", "--Vs", "40"]) == 0
+        defaults = cli.cmd_totals(RunConfig(Vs=(40.0,)))
+        assert capsys.readouterr().out == report.render_csv(defaults)
+        assert defaults.rows[0][1] == 2
+        assert build_config(cli.build_parser().parse_args(["totals"])) == RunConfig()
+
+    @pytest.mark.parametrize("argv", [[]] + [[name] for name in cli._COMMANDS])
+    def test_help_is_stable_across_calls(self, capsys, argv):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--help"])
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: sweepdefense")
+
+    def test_bad_flag_after_a_good_call(self, capsys):
+        assert main(["critical-speeds", "--n", "2"]) == 0
+        capsys.readouterr()
+        assert main(["critical-speeds", "--frequency", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert main(["critical-speeds", "--n", "2"]) == 0
+
+    def test_oversized_range_exits_1_naming_the_key(self, capsys):
+        assert main(["totals", "--n", "2:2000002:2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: n='2:2000002:2': more than 1000000 values")
+        assert captured.out == ""
+
     def test_every_subcommand_takes_the_config_keys(self):
         parser = cli.build_parser()
         (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

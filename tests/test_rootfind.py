@@ -19,6 +19,15 @@ def test_same_sign_endpoints_raise():
         solve(p)
 
 
+def test_no_bracket_reports_both_ends():
+    p = RootProblem(objective=lambda x: x * x + 1.0, bracket_lo=-5.0, bracket_hi=2.0, guess=0.5)
+    with pytest.raises(NoBracket) as info:
+        solve(p)
+    exc = info.value
+    assert (exc.lo, exc.f_lo, exc.hi, exc.f_hi) == (-5.0, 26.0, 2.0, 5.0)
+    assert str(exc) == "objective(-5.0) = 26.0 and objective(2.0) = 5.0 share a sign"
+
+
 def test_exact_root_at_bracket_end():
     p = RootProblem(objective=lambda x: x - 1.0, bracket_lo=1.0, bracket_hi=3.0, guess=2.0)
     assert solve(p) == 1.0

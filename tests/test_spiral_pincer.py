@@ -146,6 +146,33 @@ class TestCriticalSpeed:
                 assert root >= max(p.VT, universal_lower_bound(p))
                 assert abs(spiral_pincer._balance(p, root)) <= 1e-10 * p.r
 
+    @pytest.mark.parametrize(
+        "R0, r, n",
+        # the last case has n*r = 64*R0: its first upper ends fall below VT
+        # and are doubled without an evaluation
+        [(100.0, 10.0, 2), (100.0, 10.0, 32), (100.0, 10.0, 128), (100.0, 50.0, 128)],
+    )
+    def test_upper_end_is_evaluated_once(self, monkeypatch, R0, r, n):
+        # the solver reports a missing sign change itself, so an upper end
+        # is not checked before the solve and then again inside it
+        p = make(R0=R0, r=r, n=n)
+        hi = 10.0 * circular_pincer.critical_speed(p)
+        while hi <= p.VT * (1.0 + 1e-9):
+            hi *= 2.0
+        balance = spiral_pincer._balance
+        seen = []
+
+        def recorded(params, Vs):
+            seen.append(Vs)
+            return balance(params, Vs)
+
+        monkeypatch.setattr(spiral_pincer, "_balance", recorded)
+        root = spiral_pincer.critical_speed(p)
+        assert hi in seen
+        assert all(seen.count(x) == 1 for x in seen if x >= hi)
+        monkeypatch.undo()
+        assert root == spiral_pincer.critical_speed(p)
+
     @given(supercritical_cases(), st.sampled_from([0.5, 2.0, 4.0]))
     @settings(max_examples=40, deadline=None)
     def test_root_invariant_under_length_rescale(self, case, k):
