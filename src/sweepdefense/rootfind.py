@@ -27,7 +27,9 @@ class RootProblem:
     bracket_lo < guess < bracket_hi is expected; a guess outside the
     bracket is replaced by the bracket midpoint. The objective must change
     sign across the bracket (checked at solve time). tol_x = None defaults
-    to 1e-12 times the initial bracket width.
+    to 1e-12 times the initial bracket width. The objective must be defined
+    on the bracket; past it, it may raise ValueError or ZeroDivisionError,
+    and a finite-difference probe that does is moved inside the bracket.
     """
 
     objective: Callable[[float], float]
@@ -68,6 +70,7 @@ def solve(p: RootProblem) -> float:
     if (flo < 0.0) == (fhi < 0.0):
         raise NoBracket(lo, flo, hi, fhi)
 
+    lo0, hi0 = lo, hi
     tol_x = p.tol_x if p.tol_x is not None else 1e-12 * (hi - lo)
 
     x = p.guess if lo < p.guess < hi else 0.5 * (lo + hi)
@@ -82,7 +85,13 @@ def solve(p: RootProblem) -> float:
             hi, fhi = x, fx
 
         h = FD_REL_STEP * max(abs(x), 1.0)
-        df = (f(x + h) - f(x - h)) / (2.0 * h)
+        try:
+            df = (f(x + h) - f(x - h)) / (2.0 * h)
+        except (ValueError, ZeroDivisionError):
+            # a probe left the objective's domain, which may end just past
+            # the initial bracket: difference over the part inside it
+            below, above = max(x - h, lo0), min(x + h, hi0)
+            df = (f(above) - f(below)) / (above - below)
 
         stepped = False
         if df != 0.0:

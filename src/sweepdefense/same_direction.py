@@ -80,7 +80,8 @@ def spiral_same_critical_speed(params: ScenarioParams) -> float:
 
     The balance adds the guard angle to the sweep span; it is negative at
     the pincer root, so the pincer root brackets from below and doubling
-    finds an upper end where the sensor wins.
+    finds an upper end where the sensor wins. The solver evaluates each
+    upper end; it is doubled only while the balance there is not positive.
     """
 
     def balance(Vs: float) -> float:
@@ -90,25 +91,25 @@ def spiral_same_critical_speed(params: ScenarioParams) -> float:
         )
 
     lo = _spiral_pincer_speed(params)
-    hi = 2.0 * lo
-    for _ in range(60):
-        if balance(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise RootNotFound("no upper bracket for the same-direction spiral speed")
     problem = RootProblem(
         objective=balance,
         bracket_lo=lo,
-        bracket_hi=hi,
+        bracket_hi=2.0 * lo,
         # start essentially at the pincer root, nudged inside the bracket
         guess=lo * (1.0 + 1e-6),
         tol_f=1e-10 * params.r,
     )
     try:
-        return solve(problem)
+        for _ in range(60):
+            try:
+                return solve(problem)
+            except NoBracket as exc:
+                if exc.f_hi > 0.0:
+                    raise
+            problem.bracket_hi *= 2.0
     except (NoBracket, MaxIterations) as exc:
         raise RootNotFound(f"same-direction spiral speed search failed: {exc}") from exc
+    raise RootNotFound("no upper bracket for the same-direction spiral speed")
 
 
 def geometry(params: ScenarioParams) -> SameDirectionGeometry:

@@ -114,12 +114,17 @@ class SimReport:
     t_final: float
     sweeps: List[SweepRecord]
     min_margin: float          # over all clearing events after the warm-up sweep
-    breach_log: np.ndarray = field(repr=False)  # _BREACH_DTYPE rows
+    breach_count: int
+    # unsorted breach columns, one block per recording sweep phase, and the
+    # center hits (step, bin, t); see _breach_log
+    breach_blocks: List[Tuple[np.ndarray, ...]] = field(repr=False)
+    center_hits: List[Tuple[int, int, float]] = field(repr=False)
     profiles: Optional[List[np.ndarray]] = None
 
-    @property
-    def breach_count(self) -> int:
-        return len(self.breach_log)
+    @cached_property
+    def breach_log(self) -> np.ndarray:
+        """The breach log as _BREACH_DTYPE rows, sorted on first access."""
+        return _breach_log(self.breach_blocks, self.center_hits)
 
     @cached_property
     def breaches(self) -> List[BreachEvent]:
@@ -418,39 +423,44 @@ class _Frontier:
             sensor = np.ones(len(k), dtype=np.int64)
             self.blocks.append((self.first + k, sensor, d, x, j, rho, inner, self.times[k]))
 
-    def breaches(self) -> np.ndarray:
-        """The breach log in tick-loop order, as _BREACH_DTYPE rows.
 
-        By step; within a step center hits first, by bin; then sensor
-        breaches by defender and, for one defender, in the order its
-        sensor met them.
-        """
-        blocks = list(self.blocks)
-        if self.hits:
-            step, b, t = (np.array(c) for c in zip(*self.hits))
-            ints, floats = np.zeros(len(step), dtype=np.int64), np.zeros(len(step))
-            blocks.append((step, ints, ints, floats, b, floats, floats, t))
-        if not blocks:
-            return np.empty(0, dtype=_BREACH_DTYPE)
-        step, sensor, d, x, j, rho, inner, t = (np.concatenate(c) for c in zip(*blocks))
-        order = np.lexsort((t, inner, rho, j, x, d, sensor, step))
-        log = np.empty(len(order), dtype=_BREACH_DTYPE)
-        log["t"], log["bin"] = t[order], j[order]
-        log["rho_at_pass"], log["sensor_inner"] = rho[order], inner[order]
-        log["center"] = sensor[order] == 0
-        return log
+def _breach_log(
+    blocks: List[Tuple[np.ndarray, ...]], hits: List[Tuple[int, int, float]]
+) -> np.ndarray:
+    """The breach log in tick-loop order, as _BREACH_DTYPE rows.
+
+    By step; within a step center hits first, by bin; then sensor
+    breaches by defender and, for one defender, in the order its
+    sensor met them.
+    """
+    blocks = list(blocks)
+    if hits:
+        step, b, t = (np.array(c) for c in zip(*hits))
+        ints, floats = np.zeros(len(step), dtype=np.int64), np.zeros(len(step))
+        blocks.append((step, ints, ints, floats, b, floats, floats, t))
+    if not blocks:
+        return np.empty(0, dtype=_BREACH_DTYPE)
+    step, sensor, d, x, j, rho, inner, t = (np.concatenate(c) for c in zip(*blocks))
+    order = np.lexsort((t, inner, rho, j, x, d, sensor, step))
+    log = np.empty(len(order), dtype=_BREACH_DTYPE)
+    log["t"], log["bin"] = t[order], j[order]
+    log["rho_at_pass"], log["sensor_inner"] = rho[order], inner[order]
+    log["center"] = sensor[order] == 0
+    return log
 
 
 def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
-    """Every (defender, bin) crossing of a sweep phase, bin-major.
+    """Every (defender, bin) crossing of a sweep phase, defender-major.
 
     A bin at distance x along a defender's path is crossed on the first
     tick whose progress reaches x, i.e. where s_prev < x <= s_now; a bin
     on the start edge (x = 0) is crossed on the first tick. Returns
-    defender, bin, distance and tick arrays sorted by (bin, tick,
-    defender), plus each crossing's rank among the crossings of its bin.
-    Only a window of bins two wider than the sector on each side is
-    measured per defender; every bin beyond it is out of reach.
+    defender, bin, distance and tick arrays, plus each crossing's rank
+    among the crossings of its bin in (tick, defender) order. Only bins met
+    more than once (pincer meetings, same-direction overlap) are sorted to
+    rank them; every other crossing has rank 0. Only a window of bins two
+    wider than the sector on each side is measured per defender; every bin
+    beyond it is out of reach.
     """
     M = len(centers)
     binwidth = _TWO_PI / M
@@ -461,16 +471,19 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     dist = ((centers[window] - phase.starts[:, None]) * phase.dirs[:, None]) % _TWO_PI
     dist[(dist <= _EDGE_SNAP) | (dist >= _TWO_PI - _EDGE_SNAP)] = 0.0
     dist[np.abs(dist - phase.span) <= _EDGE_SNAP] = phase.span
-    d, w = np.nonzero(dist <= s[-1])
-    j = window[d, w]
-    x = dist[d, w]
+    flat = np.flatnonzero(dist <= s[-1])
+    d = flat // width
+    j = window.ravel()[flat]
+    x = dist.ravel()[flat]
     k = np.searchsorted(s, x, side="left")
-    order = np.lexsort((d, k, j))
-    d, j, x, k = d[order], j[order], x[order], k[order]
-    pos = np.arange(len(j))
-    new_bin = np.ones(len(j), dtype=bool)
-    new_bin[1:] = j[1:] != j[:-1]
-    rank = pos - np.maximum.accumulate(np.where(new_bin, pos, 0))
+    rank = np.zeros(len(j), dtype=np.int64)
+    shared = np.flatnonzero(np.bincount(j, minlength=M)[j] > 1)
+    shared = shared[np.lexsort((d[shared], k[shared], j[shared]))]
+    js = j[shared]
+    pos = np.arange(len(js))
+    new_bin = np.ones(len(js), dtype=bool)
+    new_bin[1:] = js[1:] != js[:-1]
+    rank[shared] = pos - np.maximum.accumulate(np.where(new_bin, pos, 0))
     return d, j, x, k, rank
 
 
@@ -575,7 +588,9 @@ def run(
         t_final=front.t,
         sweeps=sweeps,
         min_margin=min_margin,
-        breach_log=front.breaches(),
+        breach_count=sum(len(b[0]) for b in front.blocks) + len(front.hits),
+        breach_blocks=front.blocks,
+        center_hits=front.hits,
         profiles=profiles,
     )
 

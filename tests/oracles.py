@@ -6,9 +6,11 @@ imports from the package under test. Where the library answers with a
 geometric-series formula, these oracles answer by brute force; agreement
 between the two routes is the point of the comparison. The wavefront
 replay at the end steps the simulator's frontier one tick at a time, the
-way the library did before its crossing search replaced the tick loop.
-The CSV renderer at the very end writes every row through csv.writer, the
-way the report module did before it joined plain lines itself.
+way the library did before its crossing search replaced the tick loop,
+and the crossing search itself is kept as it was when it sorted every
+crossing of a sweep phase. The CSV renderer at the very end writes every
+row through csv.writer, the way the report module did before it joined
+plain lines itself.
 """
 
 import csv
@@ -313,6 +315,37 @@ def wavefront_run(phases, bins, dt, R0, r, VT, breach_tol, snap) -> OracleWavefr
         profiles.append(rho.copy())
 
     return OracleWavefront(t, sweeps, min_margin, breaches, profiles)
+
+
+def sorted_crossings(phase, centers, s, snap):
+    """Every (defender, bin) crossing of a sweep phase, sorted by (bin,
+    tick, defender), with each crossing's rank among those of its bin.
+
+    The simulator's crossing search as it stood when it sorted every
+    crossing; it now sorts only the bins met more than once. Returns
+    defender, bin, distance, tick and rank arrays.
+    """
+    two_pi = 2.0 * math.pi
+    M = len(centers)
+    binwidth = two_pi / M
+    width = min(int(math.ceil(phase.span / binwidth)) + 5, M)
+    low_edge = np.where(phase.dirs > 0, phase.starts, phase.starts - phase.span)
+    lowest = np.floor(low_edge / binwidth - 0.5).astype(np.int64) - 2
+    window = (lowest[:, None] + np.arange(width)) % M
+    dist = ((centers[window] - phase.starts[:, None]) * phase.dirs[:, None]) % two_pi
+    dist[(dist <= snap) | (dist >= two_pi - snap)] = 0.0
+    dist[np.abs(dist - phase.span) <= snap] = phase.span
+    d, w = np.nonzero(dist <= s[-1])
+    j = window[d, w]
+    x = dist[d, w]
+    k = np.searchsorted(s, x, side="left")
+    order = np.lexsort((d, k, j))
+    d, j, x, k = d[order], j[order], x[order], k[order]
+    pos = np.arange(len(j))
+    new_bin = np.ones(len(j), dtype=bool)
+    new_bin[1:] = j[1:] != j[:-1]
+    rank = pos - np.maximum.accumulate(np.where(new_bin, pos, 0))
+    return d, j, x, k, rank
 
 
 def _csv_cell(value, float_format: str) -> str:

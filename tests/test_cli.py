@@ -323,6 +323,14 @@ class TestExitCodes:
         assert row[-1] == "ok"
         assert float(row[3]) > 1.0
 
+    def test_spiral_speed_just_above_the_threat_speed_is_found(self, capsys):
+        # the root lies closer to VT than the solver's finite-difference
+        # step, so a central probe would fall below VT
+        assert main(["critical-speeds", "--r", "40", "--n", "10000"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[-1] == "ok"
+        assert 1.0 < float(row[3]) < 1.00001
+
     @pytest.mark.parametrize("protocol", ["circular-same", "spiral-same"])
     def test_same_direction_asymptote_ignores_the_sweep_cap(self, capsys, protocol):
         # the schedule to eps short of this asymptote would exceed the cap

@@ -73,3 +73,35 @@ def test_bisection_only_still_converges():
     f = lambda x: math.copysign(abs(x - 1.0) ** (1.0 / 3.0), x - 1.0)
     p = RootProblem(objective=f, bracket_lo=-3.0, bracket_hi=4.0, guess=-2.0, tol_f=1e-12)
     assert abs(solve(p) - 1.0) < 1e-6
+
+
+def test_probe_past_the_domain_stays_in_the_bracket():
+    # the objective is undefined below 1, and the root lies closer to 1 than
+    # the finite-difference step: a central probe there would leave the
+    # domain, so the derivative is taken inside the bracket instead
+    seen = []
+
+    def f(x):
+        value = math.sqrt(x - 1.0) - 1e-4
+        seen.append(x)
+        return value
+
+    p = RootProblem(objective=f, bracket_lo=1.0 + 1e-12, bracket_hi=2.0, guess=1.0 + 2e-8)
+    x = solve(p)
+    assert abs(x - (1.0 + 1e-8)) < 1e-12
+    assert min(seen) >= 1.0 + 1e-12
+
+
+def test_probes_inside_the_domain_stay_central():
+    # a probe just past the bracket, where the objective is defined, is
+    # kept: the iterates, and so every root found before, are unchanged
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x - 4.0
+
+    solve(RootProblem(objective=f, bracket_lo=2.0 - 1e-9, bracket_hi=3.0, guess=2.0 - 5e-10))
+    x, h = 2.0 - 5e-10, 1e-6 * (2.0 - 5e-10)
+    assert seen[3:5] == [x + h, x - h]
+    assert x - h < 2.0 - 1e-9

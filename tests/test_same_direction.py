@@ -68,6 +68,26 @@ class TestCriticalSpeeds:
             same_ci = same_direction.circular_same_critical_speed(p)
             assert pincer < same_sp < same_ci, f"n={n}"
 
+    @pytest.mark.parametrize("r, n", [(10.0, 2), (10.0, 32), (10.0, 128), (50.0, 128)])
+    def test_spiral_upper_end_is_evaluated_once(self, monkeypatch, r, n):
+        # the solver reports a missing sign change itself, so an upper end
+        # is not checked before the solve and then again inside it
+        p = make(r=r, n=n)
+        hi = 2.0 * spiral_pincer.critical_speed(p)
+        lam = same_direction._spiral_same_lam
+        seen = []
+
+        def recorded(params, Vs, R):
+            seen.append(Vs)
+            return lam(params, Vs, R)
+
+        monkeypatch.setattr(same_direction, "_spiral_same_lam", recorded)
+        root = same_direction.spiral_same_critical_speed(p)
+        assert hi in seen
+        assert all(seen.count(x) == 1 for x in seen if x >= hi)
+        monkeypatch.undo()
+        assert root == same_direction.spiral_same_critical_speed(p)
+
     def test_geometry_bundle(self):
         g = same_direction.geometry(make())
         assert math.isclose(g.Vc_circ_same, 32.41592653589793, rel_tol=1e-15)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sweepdefense import circular_pincer, cli, same_direction, simulator, spiral_pincer
+from sweepdefense import circular_pincer, cli, protocols, same_direction, simulator, spiral_pincer
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
 from sweepdefense.simulator import BreachKind, SimConfig
 
@@ -177,3 +177,69 @@ def test_simulate_tables_match_golden(tmp_path, name):
                 assert row[col] == value, col
             else:
                 assert float(row[col]) == pytest.approx(expected, rel=1e-8, abs=1e-9), col
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("n", [2, 32, 128])
+@pytest.mark.parametrize("mode", ["defense", "expansion"])
+def test_crossing_ranks_match_a_full_sort(monkeypatch, kind, n, mode):
+    # only bins met more than once are sorted to rank their crossings; the
+    # (defender, bin, distance, tick, rank) set must equal the one a sort
+    # of every crossing gives, on every sweep phase the planner lays out
+    params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=n, eps=0.1)
+    Vc = CRITICAL[kind](params)
+    Vs = max(0.9 * Vc, 1.1 * params.VT) if mode == "defense" else Vc + 10.0 * params.VT
+    crossings = simulator._crossings
+    pairs = []
+
+    def recorded(phase, centers, s):
+        got = crossings(phase, centers, s)
+        want = oracles.sorted_crossings(phase, centers, s, simulator._EDGE_SNAP)
+        pairs.append((got, want))
+        return got
+
+    monkeypatch.setattr(simulator, "_crossings", recorded)
+    for bins in (360, 3600, 36000):
+        simulator.run(params, Vs, kind, SimConfig(bins=bins, mode=mode, cycles=2, max_sweeps=2))
+    assert len(pairs) == 3 * 2
+    shared = 0
+    for got, want in pairs:
+        assert sorted(zip(*(a.tolist() for a in got))) == sorted(zip(*(a.tolist() for a in want)))
+        shared += int(want[4].max())
+    # same-direction sectors overlap; pincer partners share only the bins
+    # whose centres sit on a sector edge, as some do at n = 32
+    if not protocols.is_pincer(kind) or n == 32:
+        assert shared > 0, "the comparison should cover bins met more than once"
+
+
+@pytest.mark.parametrize(
+    "params, Vs, kind",
+    [
+        (
+            ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=32, eps=0.1),
+            1.2,
+            ProtocolKind.SPIRAL_SAME_DIRECTION,
+        ),
+        # hopeless: center hits as well as sensor breaches
+        (ScenarioParams(R0=5.0, r=1.0, VT=1.0, n=2, eps=0.1), 1.5, ProtocolKind.CIRCULAR_PINCER),
+    ],
+)
+def test_breach_log_is_sorted_when_first_read(params, Vs, kind):
+    grid = SimConfig(bins=720, mode="defense", cycles=2)
+    rep = simulator.run(params, Vs, kind, grid)
+    count = rep.breach_count
+    assert "breach_log" not in vars(rep)
+    _, phases, _ = simulator._plan(params, Vs, kind, grid)
+    ref = oracles.wavefront_run(
+        oracle_phases(phases), rep.bins, rep.dt, params.R0, params.r, params.VT,
+        rep.grid_tolerance, snap=simulator._EDGE_SNAP,
+    )
+    log = rep.breach_log
+    assert "breach_log" in vars(rep)
+    assert count == len(log) == len(ref.breaches) > 0
+    got = [(t, j, bool(c)) for t, j, _, _, c in log.tolist()]
+    want = [(t, j, kind_ == "CenterReached") for t, j, _, _, kind_ in ref.breaches]
+    assert got == want
+    close = 1e-9 * params.R0
+    assert np.abs(log["rho_at_pass"] - [b[2] for b in ref.breaches]).max() <= close
+    assert np.abs(log["sensor_inner"] - [b[3] for b in ref.breaches]).max() <= close
