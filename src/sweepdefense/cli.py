@@ -10,14 +10,19 @@ Configuration is flat key=value text, overridable by flags. Speeds can be
 given directly or as offsets above a critical speed, either each
 protocol's own or that of a fixed reference protocol and defender count,
 matching how the comparison scenarios are usually specified.
+
+The fields of RunConfig are the config keys and the flags: each carries
+its parser and help text. Every grid table is a column list plus a
+function from a grid point to its rows.
 """
 
 import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,33 +53,6 @@ _KIND_BY_NAME = {k.value: k for k in ProtocolKind}
 
 # domain outcomes that mark a grid point instead of aborting the sweep
 _ROW_ERRORS = (SubcriticalSpeed, NoExpansion, SpeedTooLow)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    R0: float = 100.0
-    r: float = 10.0
-    VT: float = 1.0
-    n: Tuple[int, ...] = (2,)
-    eps: Tuple[float, ...] = (0.1,)
-    protocol: Tuple[ProtocolKind, ...] = (ProtocolKind.CIRCULAR_PINCER,)
-    speed_mode: SpeedMode = SpeedMode.ABSOLUTE
-    Vs: Tuple[float, ...] = ()
-    dV: Tuple[float, ...] = ()
-    ref_protocol: ProtocolKind = ProtocolKind.CIRCULAR_PINCER
-    ref_n: int = 2
-    target_radius: Optional[float] = None
-    bins: int = 3600
-    dt: Optional[float] = None
-    mode: str = "auto"
-    cycles: int = 3
-    max_sweeps: Optional[int] = None
-    out: Optional[str] = None
-    format: str = "csv"
-
-    def scenario(self, n: int, eps: float) -> ScenarioParams:
-        return validate(ScenarioParams(R0=self.R0, r=self.r, VT=self.VT, n=n, eps=eps))
-
 
 # Most values one list key may hold. A lo:hi:step token is counted before
 # it is expanded, so a token like 2:2000000000:2 is refused at once instead
@@ -149,6 +127,92 @@ def _parse_protocols(text: str, key: str) -> Tuple[ProtocolKind, ...]:
     return tuple(kinds)
 
 
+def _parse_protocol(text: str, key: str) -> ProtocolKind:
+    kinds = _parse_protocols(text, key)
+    if len(kinds) != 1:
+        raise ConfigError(f"{key} must name exactly one protocol")
+    return kinds[0]
+
+
+def _parse_number(text: str, key: str) -> float:
+    try:
+        return _finite(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}={text!r}: expected a finite number") from exc
+
+
+def _parse_int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}={text!r}: expected an integer") from exc
+
+
+def _parse_speed_mode(text: str, key: str) -> SpeedMode:
+    try:
+        return SpeedMode(text)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{key}={text!r}: expected one of {', '.join(m.value for m in SpeedMode)}"
+        ) from exc
+
+
+def _parse_format(text: str, key: str) -> str:
+    if text not in ("csv", "json"):
+        raise ConfigError(f"{key}={text!r}: expected csv or json")
+    return text
+
+
+def _parse_text(text: str, key: str) -> str:
+    return text
+
+
+def _key(default, parse: Callable[[str, str], object], help: str):
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The config keys, in flag order; the flag is the key with "-" for "_"."""
+
+    out: Optional[str] = _key(None, _parse_text, "write the table here instead of stdout")
+    format: str = _key("csv", _parse_format, "csv or json (default csv)")
+    R0: float = _key(100.0, _parse_number, "initial protected radius")
+    r: float = _key(10.0, _parse_number, "sensor half-length")
+    VT: float = _key(1.0, _parse_number, "threat speed")
+    n: Tuple[int, ...] = _key((2,), _parse_int_list, "defender counts, e.g. 2,4 or 2:32:2")
+    eps: Tuple[float, ...] = _key(
+        (0.1,), _parse_float_list, "expansion stop gaps, comma list or lo:hi:step"
+    )
+    Vs: Tuple[float, ...] = _key((), _parse_float_list, "defender speeds (speed_mode=absolute)")
+    dV: Tuple[float, ...] = _key((), _parse_float_list, "speed offsets for the delta speed modes")
+    protocol: Tuple[ProtocolKind, ...] = _key(
+        (ProtocolKind.CIRCULAR_PINCER,), _parse_protocols, "comma list of protocol names"
+    )
+    speed_mode: SpeedMode = _key(
+        SpeedMode.ABSOLUTE, _parse_speed_mode, "absolute, delta-own or delta-reference"
+    )
+    ref_protocol: ProtocolKind = _key(
+        ProtocolKind.CIRCULAR_PINCER, _parse_protocol, "delta-reference base protocol"
+    )
+    ref_n: int = _key(2, _parse_int, "delta-reference defender count")
+    target_radius: Optional[float] = _key(
+        None, _parse_number, "totals: stop at this radius instead of eps short of the asymptote"
+    )
+    bins: int = _key(3600, _parse_int, "simulator angular bins (default 3600)")
+    dt: Optional[float] = _key(None, _parse_number, "simulator tick, default auto")
+    mode: str = _key("auto", _parse_text, "simulator mode: auto, defense or expansion")
+    cycles: int = _key(3, _parse_int, "simulator defense cycles (default 3)")
+    max_sweeps: Optional[int] = _key(None, _parse_int, "simulator expansion cap")
+
+    def scenario(self, n: int, eps: float) -> ScenarioParams:
+        return validate(ScenarioParams(R0=self.R0, r=self.r, VT=self.VT, n=n, eps=eps))
+
+
+_FIELDS = fields(RunConfig)
+_KEYS = tuple(f.name for f in _FIELDS)
+
+
 def load_config_file(path: str) -> Dict[str, str]:
     """Flat key=value text; # starts a comment, blank lines are skipped."""
     values: Dict[str, str] = {}
@@ -167,112 +231,24 @@ def load_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-# Every subcommand takes the same flags, one per config key plus --config,
-# in help order: key -> help. The flag is the key with "-" for "_".
-_FLAG_HELP = {
-    "config": "flat key=value config file",
-    "out": "write the table here instead of stdout",
-    "format": "csv or json (default csv)",
-    "R0": "initial protected radius",
-    "r": "sensor half-length",
-    "VT": "threat speed",
-    "n": "defender counts, e.g. 2,4 or 2:32:2",
-    "eps": "expansion stop gaps, comma list or lo:hi:step",
-    "Vs": "defender speeds (speed_mode=absolute)",
-    "dV": "speed offsets for the delta speed modes",
-    "protocol": "comma list of protocol names",
-    "speed_mode": "absolute, delta-own or delta-reference",
-    "ref_protocol": "delta-reference base protocol",
-    "ref_n": "delta-reference defender count",
-    "target_radius": "totals: stop at this radius instead of eps short of the asymptote",
-    "bins": "simulator angular bins (default 3600)",
-    "dt": "simulator tick, default auto",
-    "mode": "simulator mode: auto, defense or expansion",
-    "cycles": "simulator defense cycles (default 3)",
-    "max_sweeps": "simulator expansion cap",
-}
-
-_KEYS = tuple(key for key in _FLAG_HELP if key != "config")
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Each key from its flag, else from the config file, else its default.
+
+    Empty text keeps the default, except that a list key (a tuple default)
+    reads it as ().
+    """
     file_cfg = load_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def pick(key: str) -> Optional[str]:
-        cli = getattr(args, key, None)
-        if cli is not None:
-            return cli
-        return file_cfg.get(key)
-
-    def number(key: str, default: float) -> float:
-        raw = pick(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return _finite(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}={raw!r}: expected a finite number") from exc
-
-    def integer(key: str, default: Optional[int]) -> Optional[int]:
-        raw = pick(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}={raw!r}: expected an integer") from exc
-
-    base = RunConfig()
-    raw_mode = pick("speed_mode") or base.speed_mode.value
-    try:
-        speed_mode = SpeedMode(raw_mode)
-    except ValueError as exc:
-        raise ConfigError(
-            f"speed_mode={raw_mode!r}: expected one of "
-            f"{', '.join(m.value for m in SpeedMode)}"
-        ) from exc
-
-    raw_ref = pick("ref_protocol") or base.ref_protocol.value
-    ref = _parse_protocols(raw_ref, "ref_protocol")
-    if len(ref) != 1:
-        raise ConfigError("ref_protocol must name exactly one protocol")
-
-    fmt = pick("format") or base.format
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format={fmt!r}: expected csv or json")
-
-    mode = pick("mode") or base.mode
-    target = pick("target_radius")
-    raw_dt = pick("dt")
-
-    return RunConfig(
-        R0=number("R0", base.R0),
-        r=number("r", base.r),
-        VT=number("VT", base.VT),
-        n=_parse_int_list(pick("n"), "n") if pick("n") is not None else base.n,
-        eps=_parse_float_list(pick("eps"), "eps") if pick("eps") is not None else base.eps,
-        protocol=(
-            _parse_protocols(pick("protocol"), "protocol")
-            if pick("protocol") is not None
-            else base.protocol
-        ),
-        speed_mode=speed_mode,
-        Vs=_parse_float_list(pick("Vs") or "", "Vs"),
-        dV=_parse_float_list(pick("dV") or "", "dV"),
-        ref_protocol=ref[0],
-        ref_n=integer("ref_n", base.ref_n),
-        target_radius=None if target in (None, "") else number("target_radius", 0.0),
-        bins=integer("bins", base.bins),
-        dt=None if raw_dt in (None, "") else number("dt", 0.0),
-        mode=mode,
-        cycles=integer("cycles", base.cycles),
-        max_sweeps=integer("max_sweeps", base.max_sweeps),
-        out=pick("out") or None,
-        format=fmt,
-    )
+    values = {}
+    for f in _FIELDS:
+        raw = getattr(args, f.name, None)
+        if raw is None:
+            raw = file_cfg.get(f.name)
+        if raw is not None and (raw or isinstance(f.default, tuple)):
+            values[f.name] = f.metadata["parse"](raw, f.name)
+    return RunConfig(**values)
 
 
 def _resolved_speeds(
@@ -301,17 +277,35 @@ def _grid(cfg: RunConfig):
                     yield kind, n, eps, dV, Vs
 
 
+def _table(
+    cfg: RunConfig, columns: Sequence[str], rows_for: Callable, prepare: Optional[Callable] = None
+) -> Table:
+    """One table over the grid: protocol, n, eps, Vs, then columns, then status.
+
+    rows_for(cfg, kind, params, Vs) gives the cells of each row for a grid
+    point. prepare, if given, first replaces params, and the eps column
+    shows the eps of the params in hand: the given one when prepare fails.
+    A domain failure becomes one row of blank cells named by its class.
+    """
+    table = Table(["protocol", "n", "eps", "Vs", *columns, "status"])
+    rows = table.rows
+    blanks = [None] * len(columns)
+    for kind, n, eps, _, Vs in _grid(cfg):
+        params = cfg.scenario(n, eps)
+        try:
+            if prepare is not None:
+                params = prepare(cfg, kind, params, Vs)
+            key = [kind.value, n, params.eps, Vs]
+            for cells in rows_for(cfg, kind, params, Vs):
+                rows.append([*key, *cells, "ok"])
+        except _ROW_ERRORS as exc:
+            rows.append([kind.value, n, params.eps, Vs, *blanks, type(exc).__name__])
+    return table
+
+
 def cmd_critical_speeds(cfg: RunConfig) -> Table:
     table = Table(
-        [
-            "n",
-            "V_LB",
-            "Vc_circ_pincer",
-            "Vc_spiral_pincer",
-            "Vc_circ_same",
-            "Vc_spiral_same",
-            "status",
-        ]
+        ["n", "V_LB", "Vc_circ_pincer", "Vc_spiral_pincer", "Vc_circ_same", "Vc_spiral_same", "status"]
     )
     for n in cfg.n:
         params = cfg.scenario(n, cfg.eps[0] if cfg.eps else 0.1)
@@ -327,193 +321,83 @@ def cmd_critical_speeds(cfg: RunConfig) -> Table:
     return table
 
 
+def _max_radius_rows(cfg, kind, params, Vs):
+    asym = protocols.max_radius(params, Vs, kind)
+    return [(asym, asym - params.eps)]
+
+
 def cmd_max_radius(cfg: RunConfig) -> Table:
-    table = Table(["protocol", "n", "eps", "Vs", "R_asym", "R_max", "status"])
-    for kind, n, eps, _, Vs in _grid(cfg):
-        params = cfg.scenario(n, eps)
-        try:
-            asym = protocols.max_radius(params, Vs, kind)
-        except _ROW_ERRORS as exc:
-            table.append(kind.value, n, eps, Vs, None, None, type(exc).__name__)
-            continue
-        table.append(kind.value, n, eps, Vs, asym, asym - eps, "ok")
-    return table
+    return _table(cfg, ("R_asym", "R_max"), _max_radius_rows)
+
+
+def _sweep_count_rows(cfg, kind, params, Vs):
+    return [(protocols.totals(params, Vs, kind).N_n,)]
 
 
 def cmd_sweep_count(cfg: RunConfig) -> Table:
-    table = Table(["protocol", "n", "eps", "Vs", "N_n", "status"])
-    for kind, n, eps, _, Vs in _grid(cfg):
-        params = cfg.scenario(n, eps)
-        try:
-            count = protocols.totals(params, Vs, kind).N_n
-        except _ROW_ERRORS as exc:
-            table.append(kind.value, n, eps, Vs, None, type(exc).__name__)
-            continue
-        table.append(kind.value, n, eps, Vs, count, "ok")
-    return table
+    return _table(cfg, ("N_n",), _sweep_count_rows)
+
+
+_STEP_COLUMNS = ("index", "R_i", "Rtilde_i", "delta_i", "delta_eff_i", "T_sweep_i", "T_out_i")
+_step_cells = attrgetter(*_STEP_COLUMNS)
+
+
+def _schedule_rows(cfg, kind, params, Vs):
+    return map(_step_cells, protocols.schedule(params, Vs, kind))
 
 
 def cmd_schedule(cfg: RunConfig) -> Table:
-    table = Table(
-        [
-            "protocol",
-            "n",
-            "eps",
-            "Vs",
-            "index",
-            "R_i",
-            "Rtilde_i",
-            "delta_i",
-            "delta_eff_i",
-            "T_sweep_i",
-            "T_out_i",
-            "status",
-        ]
-    )
-    for kind, n, eps, _, Vs in _grid(cfg):
-        params = cfg.scenario(n, eps)
-        try:
-            steps = protocols.schedule(params, Vs, kind)
-        except _ROW_ERRORS as exc:
-            table.append(
-                kind.value, n, eps, Vs, None, None, None, None, None, None, None,
-                type(exc).__name__,
-            )
-            continue
-        for s in steps:
-            table.append(
-                kind.value,
-                n,
-                eps,
-                Vs,
-                s.index,
-                s.R_i,
-                s.Rtilde_i,
-                s.delta_i,
-                s.delta_eff_i,
-                s.T_sweep_i,
-                s.T_out_i,
-                "ok",
-            )
-    return table
+    return _table(cfg, _STEP_COLUMNS, _schedule_rows)
+
+
+_TOTALS_COLUMNS = (
+    "N_n", "R_last", "R_max", "R_asym", "T_sweep_total", "T_out_total", "T_out_last", "T_total",
+)
+_totals_cells = attrgetter(*_TOTALS_COLUMNS)
+
+
+def _at_target_radius(cfg, kind, params, Vs):
+    # fix the finish line instead of the asymptote gap: that makes totals
+    # comparable across protocols and n
+    if cfg.target_radius is None:
+        return params
+    asym = protocols.max_radius(params, Vs, kind)
+    eps_eff = asym - cfg.target_radius
+    if eps_eff <= 0.0:
+        raise NoExpansion(
+            f"target radius {cfg.target_radius} is at or beyond the asymptote {asym}"
+        )
+    return replace(params, eps=eps_eff)
+
+
+def _totals_rows(cfg, kind, params, Vs):
+    return [_totals_cells(protocols.totals(params, Vs, kind))]
 
 
 def cmd_totals(cfg: RunConfig) -> Table:
-    table = Table(
-        [
-            "protocol",
-            "n",
-            "eps",
-            "Vs",
-            "N_n",
-            "R_last",
-            "R_max",
-            "R_asym",
-            "T_sweep_total",
-            "T_out_total",
-            "T_out_last",
-            "T_total",
-            "status",
-        ]
+    return _table(cfg, _TOTALS_COLUMNS, _totals_rows, _at_target_radius)
+
+
+_SWEEP_COLUMNS = ("index", "t", "rho_min", "rho_max", "margin")
+_sweep_cells = attrgetter(*_SWEEP_COLUMNS)
+
+
+def _simulate_rows(cfg, kind, params, Vs):
+    grid = SimConfig(
+        bins=cfg.bins, dt=cfg.dt, mode=cfg.mode, cycles=cfg.cycles, max_sweeps=cfg.max_sweeps
     )
-    for kind, n, eps, _, Vs in _grid(cfg):
-        params = cfg.scenario(n, eps)
-        try:
-            if cfg.target_radius is not None:
-                # fix the finish line instead of the asymptote gap: that
-                # makes totals comparable across protocols and n
-                asym = protocols.max_radius(params, Vs, kind)
-                eps_eff = asym - cfg.target_radius
-                if eps_eff <= 0.0:
-                    raise NoExpansion(
-                        f"target radius {cfg.target_radius} is at or beyond "
-                        f"the asymptote {asym}"
-                    )
-                params = replace(params, eps=eps_eff)
-                eps = eps_eff
-            summary = protocols.totals(params, Vs, kind)
-        except _ROW_ERRORS as exc:
-            table.append(
-                kind.value, n, eps, Vs, None, None, None, None, None, None, None,
-                None, type(exc).__name__,
-            )
-            continue
-        table.append(
-            kind.value,
-            n,
-            eps,
-            Vs,
-            summary.N_n,
-            summary.R_last,
-            summary.R_max,
-            summary.R_asym,
-            summary.T_sweep_total,
-            summary.T_out_total,
-            summary.T_out_last,
-            summary.T_total,
-            "ok",
-        )
-    return table
+    rep = simulator.run(params, Vs, kind, grid)
+    head = (rep.mode, rep.bins, rep.dt, rep.grid_tolerance)
+    tail = (rep.min_margin, rep.breach_count)
+    return [head + _sweep_cells(rec) + tail for rec in rep.sweeps]
 
 
 def cmd_simulate(cfg: RunConfig) -> Table:
-    table = Table(
-        [
-            "protocol",
-            "n",
-            "eps",
-            "Vs",
-            "mode",
-            "bins",
-            "dt",
-            "grid_tolerance",
-            "index",
-            "t",
-            "rho_min",
-            "rho_max",
-            "margin",
-            "min_margin",
-            "breaches",
-            "status",
-        ]
+    return _table(
+        cfg,
+        ("mode", "bins", "dt", "grid_tolerance", *_SWEEP_COLUMNS, "min_margin", "breaches"),
+        _simulate_rows,
     )
-    grid = SimConfig(
-        bins=cfg.bins,
-        dt=cfg.dt,
-        mode=cfg.mode,
-        cycles=cfg.cycles,
-        max_sweeps=cfg.max_sweeps,
-    )
-    for kind, n, eps, _, Vs in _grid(cfg):
-        params = cfg.scenario(n, eps)
-        try:
-            rep = simulator.run(params, Vs, kind, grid)
-        except _ROW_ERRORS as exc:
-            table.append(
-                kind.value, n, eps, Vs, None, None, None, None, None, None, None,
-                None, None, None, None, type(exc).__name__,
-            )
-            continue
-        for rec in rep.sweeps:
-            table.append(
-                kind.value,
-                n,
-                eps,
-                Vs,
-                rep.mode,
-                rep.bins,
-                rep.dt,
-                rep.grid_tolerance,
-                rec.index,
-                rec.t,
-                rec.rho_min,
-                rec.rho_max,
-                rec.margin,
-                rep.min_margin,
-                rep.breach_count,
-                "ok",
-            )
-    return table
 
 
 _COMMANDS: Dict[str, Callable[[RunConfig], Table]] = {
@@ -558,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     # declared once and copied into each subcommand: add_argument's
     # formatter check then runs 20 times per parser build, not 120
     flags = argparse.ArgumentParser(add_help=False)
-    for key, text in _FLAG_HELP.items():
-        flags.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+    flags.add_argument("--config", help="flat key=value config file")
+    for f in _FIELDS:
+        flags.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata["help"])
     for name in _COMMANDS:
         sub.add_parser(name, help=helps[name], parents=[flags])
     return parser
@@ -578,7 +463,7 @@ def _meta(cfg: RunConfig, subcommand: str) -> dict:
         "version": __version__,
         "subcommand": subcommand,
         "config": {
-            f.name: _meta_value(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "out"
+            f.name: _meta_value(getattr(cfg, f.name)) for f in _FIELDS if f.name != "out"
         },
     }
 

@@ -2,8 +2,10 @@
 
 Newton iteration with a finite-difference derivative, wrapped in a
 bisection safeguard: a Newton step is taken only when it stays inside the
-current sign-change bracket and actually reduces the objective magnitude,
-otherwise the step falls back to bisecting the bracket. Both critical-speed
+current sign-change bracket and at least halves the objective magnitude,
+otherwise the step falls back to bisecting the bracket. Steps that only
+nibble at the magnitude, as a poor finite-difference derivative gives,
+would otherwise repeat without narrowing the bracket. Both critical-speed
 equations in this library (spiral pincer and spiral same-direction) are
 smooth and monotone near their roots, so Newton does almost all the work
 and the safeguard only matters for sloppy brackets.
@@ -98,7 +100,7 @@ def solve(p: RootProblem) -> float:
             cand = x - fx / df
             if lo < cand < hi:
                 fcand = f(cand)
-                if abs(fcand) < abs(fx):
+                if abs(fcand) <= 0.5 * abs(fx):
                     if abs(cand - x) <= tol_x:
                         return cand
                     x, fx = cand, fcand

@@ -23,6 +23,7 @@ from oracles import csv_render
 
 REF = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 class TestListParsing:
@@ -331,6 +332,15 @@ class TestExitCodes:
         assert row[-1] == "ok"
         assert 1.0 < float(row[3]) < 1.00001
 
+    def test_spiral_speed_past_creeping_newton_steps_is_found(self, capsys):
+        # the root lies within the finite-difference step of VT, where each
+        # Newton step cut |f| by little and 200 of them ended in exit 2
+        argv = "critical-speeds --R0 2287.19 --r 17.9547 --VT 0.00200199 --n 36464"
+        assert main(argv.split()) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[-1] == "ok"
+        assert 0.00200199 < float(row[3]) < 0.002003
+
     @pytest.mark.parametrize("protocol", ["circular-same", "spiral-same"])
     def test_same_direction_asymptote_ignores_the_sweep_cap(self, capsys, protocol):
         # the schedule to eps short of this asymptote would exceed the cap
@@ -426,6 +436,25 @@ class TestSubcommands:
         row = dict(zip(table.columns, table.rows[0]))
         assert row["status"] == "NoExpansion"
 
+    @pytest.mark.parametrize(
+        "Vs, target, status, eps",
+        [
+            # the target step fails: the row keeps the given eps
+            ("20", "101", "SubcriticalSpeed", 0.1),
+            ("40", "200", "NoExpansion", 0.1),
+            # totals fails after the step: the row shows the implied eps
+            ("40", "-5", "NoExpansion", 132.323954),
+        ],
+    )
+    def test_totals_target_failure_row_eps(self, tmp_path, Vs, target, status, eps):
+        out = tmp_path / "t.csv"
+        assert main(["totals", "--Vs", Vs, "--target-radius", target, "--out", str(out)]) == 0
+        table = report.read_table(out)
+        row = dict(zip(table.columns, table.rows[0]))
+        assert row["status"] == status
+        assert row["eps"] == eps
+        assert row["N_n"] is None and row["T_total"] is None
+
     def test_simulate_defense_rows(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(
@@ -479,6 +508,29 @@ class TestParser:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert texts[0].startswith("usage: sweepdefense")
+
+    @pytest.mark.parametrize("name", [None, *cli._COMMANDS])
+    def test_help_matches_its_golden_copy(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ([name] if name else []) + ["--help"]
+        with pytest.raises(SystemExit):
+            main(argv)
+        golden = GOLDEN_DIR / (f"help-{name}.txt" if name else "help.txt")
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_every_command_is_a_module_function(self):
+        # the benchmark tracer wraps cmd_* attributes by name and swaps
+        # them in module dicts, _COMMANDS among them
+        for name, command in cli._COMMANDS.items():
+            assert command is getattr(cli, "cmd_" + name.replace("-", "_")), name
+
+    def test_flags_follow_the_config_fields(self):
+        want = ["--config"] + ["--" + f.name.replace("_", "-") for f in fields(RunConfig)]
+        parser = cli.build_parser()
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            got = [a.option_strings[0] for a in sub._actions if a.dest != "help"]
+            assert got == want, name
 
     def test_bad_flag_after_a_good_call(self, capsys):
         assert main(["critical-speeds", "--n", "2"]) == 0

@@ -105,3 +105,12 @@ def test_probes_inside_the_domain_stay_central():
     x, h = 2.0 - 5e-10, 1e-6 * (2.0 - 5e-10)
     assert seen[3:5] == [x + h, x - h]
     assert x - h < 2.0 - 1e-9
+
+
+def test_newton_steps_that_barely_shrink_f_give_way_to_bisection():
+    # the root lies closer to 0 than the finite-difference step, so the
+    # difference quotient overstates the cubic's slope there: each Newton
+    # step cuts |f| by a few percent and leaves the bracket nearly as wide
+    f = lambda x: (x - 1e-7) ** 3
+    p = RootProblem(objective=f, bracket_lo=0.0, bracket_hi=1.0, guess=0.5, tol_f=0.0)
+    assert abs(solve(p) - 1e-7) < 1e-11
