@@ -94,16 +94,18 @@ class AffineRecursion:
             )
         return R_target
 
-    def _sweeps(self, R_target: float) -> Iterator[Tuple[float, float, float, float]]:
-        """(X, T_sweep, delta, delta_eff) of each sweep until X reaches the target."""
-        a_num, a_den, b, VT, Vs = self.a_num, self.a_den, self.b, self.params.VT, self.Vs
+    def _steps(self, R_target: float) -> Iterator[Tuple]:
+        """The cells of each sweep's ExpansionStep, in field order, until X
+        reaches the target."""
+        a_num, a_den, b, shift = self.a_num, self.a_den, self.b, self.shift
+        VT, Vs = self.params.VT, self.Vs
         closing = Vs + VT
-        X, X_target = self.params.R0 + self.shift, R_target + self.shift
-        for _ in range(ITERATION_CAP):
+        X, X_target = self.params.R0 + shift, R_target + shift
+        for i in range(ITERATION_CAP):
             T = X * a_num / a_den  # sweep_time(X), without the call
             delta = b - VT * T
             delta_eff = delta * Vs / closing
-            yield X, T, delta, delta_eff
+            yield i, X - shift, X if shift else None, delta, delta_eff, T, delta_eff / Vs
             X += delta_eff
             if X >= X_target:
                 return
@@ -121,7 +123,7 @@ class AffineRecursion:
         if round(x) > ITERATION_CAP:
             # the count is round(x) or one more; both exceed the cap
             raise MaxIterations(f"about {x:.6g} sweeps, more than {ITERATION_CAP}")
-        return sum(1 for _ in self._sweeps(R_target))
+        return sum(1 for _ in self._steps(R_target))
 
     def sweep_count(self) -> int:
         """Sweeps needed to push the boundary to within eps of the asymptote."""
@@ -134,18 +136,7 @@ class AffineRecursion:
         N = self._count(R_target)
         if N > ITERATION_CAP:
             raise MaxIterations(f"schedule needs {N} sweeps, more than {ITERATION_CAP}")
-        return [
-            ExpansionStep(
-                index=i,
-                R_i=X - self.shift,
-                Rtilde_i=X if self.shift else None,
-                delta_i=delta,
-                delta_eff_i=delta_eff,
-                T_sweep_i=T,
-                T_out_i=delta_eff / self.Vs,
-            )
-            for i, (X, T, delta, delta_eff) in enumerate(self._sweeps(R_target))
-        ]
+        return list(map(ExpansionStep._make, self._steps(R_target)))
 
     def totals(self) -> ProtocolSummary:
         """Campaign summary from closed forms alone.

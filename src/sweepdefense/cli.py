@@ -39,7 +39,7 @@ from .errors import (
 )
 from .protocols import CRITICAL as _CRITICAL
 from .report import Table
-from .scenario import ProtocolKind, ScenarioParams, validate
+from .scenario import ExpansionStep, ProtocolKind, ScenarioParams, validate
 from .simulator import SimConfig
 
 
@@ -338,12 +338,12 @@ def cmd_sweep_count(cfg: RunConfig) -> Table:
     return _table(cfg, ("N_n",), _sweep_count_rows)
 
 
-_STEP_COLUMNS = ("index", "R_i", "Rtilde_i", "delta_i", "delta_eff_i", "T_sweep_i", "T_out_i")
-_step_cells = attrgetter(*_STEP_COLUMNS)
+# a step is a NamedTuple: its cells in column order
+_STEP_COLUMNS = ExpansionStep._fields
 
 
 def _schedule_rows(cfg, kind, params, Vs):
-    return map(_step_cells, protocols.schedule(params, Vs, kind))
+    return protocols.schedule(params, Vs, kind)
 
 
 def cmd_schedule(cfg: RunConfig) -> Table:

@@ -45,32 +45,60 @@ def _json_cell(value: Cell) -> Cell:
     return value
 
 
+def _cell_format(cell_type: type) -> str:
+    if issubclass(cell_type, float):
+        return FLOAT_FORMAT
+    return "%.0s" if cell_type is type(None) else "%s"
+
+
+def _plain_line(line: str, cells: int) -> bool:
+    """Whether the csv module writes these joined cells as they are."""
+    return (
+        bool(line)
+        and line.count(",") == cells - 1
+        and '"' not in line
+        and "\r" not in line
+        and "\n" not in line
+    )
+
+
 def render_csv(table: Table) -> str:
     """CSV text, one line per row, written as the csv module writes it.
 
-    Cells are formatted inline and joined with ","; only a line the csv
-    module would write differently goes through csv.writer: one holding
-    a quote or line break, a cell holding a comma, or a row that is a
-    lone empty cell (written as "").
+    Each row goes through one % format string, built once per tuple of
+    cell types and kept for the call: FLOAT_FORMAT for a float (and so
+    for np.float64), "%.0s" for None, "%s" for anything else. A line
+    that format may get wrong goes cell by cell instead: one holding
+    "nan" or "inf" (a non-finite float is a blank cell), a quote or a
+    line break, one with a comma count other than len(row) - 1 (a cell
+    holding a comma), or an empty line. There the cells are formatted
+    one at a time and joined, and only a line the csv module would write
+    differently (quoted, or a lone empty cell written as "") goes
+    through csv.writer.
     """
     buf = io.StringIO()
     write = buf.write
     writer = csv.writer(buf, lineterminator="\n")
     isfinite = math.isfinite
+    formats = {}
     for row in chain((table.columns,), table.rows):
+        row = tuple(row)
+        signature = tuple(map(type, row))
+        fmt = formats.get(signature)
+        if fmt is None:
+            fmt = formats[signature] = ",".join(map(_cell_format, signature))
+        line = fmt % row
+        if "nan" not in line and "inf" not in line and _plain_line(line, len(row)):
+            write(line)
+            write("\n")
+            continue
         cells = [
             (FLOAT_FORMAT % v if isfinite(v) else "") if isinstance(v, float)
             else "" if v is None else str(v)
             for v in row
         ]
         line = ",".join(cells)
-        if (
-            line
-            and line.count(",") == len(cells) - 1
-            and '"' not in line
-            and "\r" not in line
-            and "\n" not in line
-        ):
+        if _plain_line(line, len(cells)):
             write(line)
             write("\n")
         else:

@@ -19,13 +19,18 @@ no closed forms are claimed. The asymptote needs no iteration (a printed
 formula for circular, a bisection of the spiral budget), so
 `max_radius_same` answers from it alone; `totals_same` and
 `expansion_schedule_same` share one plain-float loop over the sweeps.
+The circular loop is the affine pincer recursion with a smaller budget,
+so a circular expansion whose closed-form count is past the sweep cap
+fails before the loop runs.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import List, Tuple
 
 from .affine import ITERATION_CAP as _ITERATION_CAP
+from .affine import AffineRecursion
 from .circular_pincer import critical_speed as _circular_pincer_speed
 from .errors import (
     InvalidParam,
@@ -188,6 +193,25 @@ def max_radius_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> fl
     return _targets(params, Vs, kind)[0]
 
 
+def _check_circular_count(params: ScenarioParams, Vs: float, R_target: float) -> None:
+    """MaxIterations at once when the circular loop would run past the cap.
+
+    The circular sweep time (2*pi*R/n + r)/Vs leaves the budget
+    r*(Vs-VT)/Vs - VT*a*R with a = 2*pi/(n*Vs): the affine pincer
+    recursion with that b, whose fixed point is R_asym, counts the sweeps
+    in closed form. Its count and the loop's may part by a rounding, so
+    only a count more than one past the cap is refused; below that the
+    loop decides.
+    """
+    ring = AffineRecursion(
+        params, Vs, a_num=_TWO_PI, a_den=params.n * Vs,
+        b=params.r * (Vs - params.VT) / Vs, shift=0.0,
+    )
+    N = ring._count(R_target)
+    if N > _ITERATION_CAP + 1:
+        raise MaxIterations(f"the expansion needs about {N} sweeps, more than {_ITERATION_CAP}")
+
+
 def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, R_target: float):
     """Sweep-start radii, sweep times, raw and effective budgets, one
     entry per sweep until the radius reaches R_target.
@@ -203,6 +227,8 @@ def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, R_target: fl
         two_r = 2.0 * r
         two_r_Vs = two_r * Vs
         lateral = math.sqrt(Vs * Vs - VT * VT)
+    else:
+        _check_circular_count(params, Vs, R_target)
     R_list: List[float] = []
     T_list: List[float] = []
     delta_list: List[float] = []
@@ -270,19 +296,12 @@ def expansion_schedule_same(
     """
     R_asym, R_target = _targets(params, Vs, kind)
     R_list, T_list, delta_list, eff_list = _iterate(params, Vs, kind, R_target)
-    spiral = kind is ProtocolKind.SPIRAL_SAME_DIRECTION
-    steps = [
-        ExpansionStep(
-            index=i,
-            R_i=R,
-            Rtilde_i=R + params.r if spiral else None,
-            delta_i=delta,
-            delta_eff_i=delta_eff,
-            T_sweep_i=T,
-            T_out_i=delta_eff / Vs,
-        )
-        for i, (R, T, delta, delta_eff) in enumerate(
-            zip(R_list, T_list, delta_list, eff_list)
-        )
-    ]
+    if kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
+        Rtilde = [R + params.r for R in R_list]
+    else:
+        Rtilde = repeat(None)
+    T_out = [delta_eff / Vs for delta_eff in eff_list]
+    # each step's cells in field order, one list per column
+    cells = zip(count(), R_list, Rtilde, delta_list, eff_list, T_list, T_out)
+    steps = list(map(ExpansionStep._make, cells))
     return steps, _summary(Vs, R_asym, R_target, R_list, T_list, eff_list)

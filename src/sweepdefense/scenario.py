@@ -10,7 +10,7 @@ at speed VT. Each defender carries a radial line sensor of full length
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParam
 
@@ -39,13 +39,15 @@ class RecursionCoeffs:
     c3: float  # time
 
 
-@dataclass(frozen=True)
-class ExpansionStep:
+class ExpansionStep(NamedTuple):
     """One sweep iteration of an expansion schedule.
 
     Radii are sweep-start values. delta_i is the raw advance budget won by
     the sweep, delta_eff_i the part that survives the outward race against
     the closing wavefront, and T_out_i the time that advance takes.
+
+    A NamedTuple, not a dataclass: a schedule holds one step per sweep, and
+    a step is already its table row, its cells in column order.
     """
 
     index: int

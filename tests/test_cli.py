@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -16,7 +17,7 @@ from sweepdefense import circular_pincer, cli, report, same_direction, simulator
 from sweepdefense.cli import RunConfig, SpeedMode, build_config, load_config_file, main
 from sweepdefense.errors import ConfigError, RootNotFound
 from sweepdefense.report import Table
-from sweepdefense.scenario import ProtocolKind, ScenarioParams
+from sweepdefense.scenario import ExpansionStep, ProtocolKind, ScenarioParams
 from sweepdefense.simulator import SimConfig
 
 from oracles import csv_render
@@ -218,6 +219,9 @@ _CELLS = st.one_of(
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 1e300, 5e-324]),
     _FIELD_TEXT,
     st.text(max_size=5),
+    # text a non-finite float would format as, and text that is a format
+    st.sampled_from(["nan", "inf", "-inf", "info", "%s"]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
 )
 
 
@@ -226,7 +230,7 @@ def _tables(draw):
     width = draw(st.integers(min_value=1, max_value=4))
     columns = draw(st.lists(_FIELD_TEXT | st.text(max_size=5), min_size=width, max_size=width))
     table = Table(columns)
-    for row in draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=6)):
+    for row in draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=20)):
         table.append(*row)
     return table
 
@@ -236,8 +240,38 @@ class TestCsvRenderer:
     @settings(max_examples=400, deadline=None)
     @example(Table([""], [[None], [math.nan]]))
     @example(Table(["a", "b"], [[",", '"'], ["\r", "\n"], [" ", ""]]))
+    # one type signature over finite and non-finite floats and look-alike text
+    @example(Table(["a", "b"], [[1.5, "x"], [math.nan, "x"], [2.5, "inf"], [-math.inf, "%s"], [3.0, "info"]]))
+    @example(Table(["nan", "%s"], [["-inf", np.int64(7)], [None, np.int64(-3)], ["nan", None]]))
     def test_matches_the_csv_writer_reference(self, table):
         assert report.render_csv(table) == csv_render(table.columns, table.rows)
+
+    def test_schedule_table_matches_the_reference(self):
+        # pincer and same-direction kinds, circular rows (Rtilde_i blank)
+        # and spiral rows, plus a subcritical row of blanks
+        cfg = RunConfig(
+            protocol=tuple(ProtocolKind),
+            n=(2, 8, 32),
+            eps=(1e-4,),
+            speed_mode=SpeedMode.DELTA_OWN,
+            dV=(-0.5, 0.5, 2.0),
+        )
+        table = cli.cmd_schedule(cfg)
+        tilde = table.columns.index("Rtilde_i")
+        assert len(table.rows) >= 1000
+        assert {type(row[tilde]) for row in table.rows} == {type(None), float}
+        assert {row[-1] for row in table.rows} == {"ok", "SubcriticalSpeed"}
+        assert report.render_csv(table) == csv_render(table.columns, table.rows)
+
+
+class TestExpansionStep:
+    def test_columns_are_the_step_fields(self):
+        assert cli._STEP_COLUMNS == ExpansionStep._fields
+
+    def test_steps_are_immutable(self):
+        step = circular_pincer.expansion_schedule(REF, 40.0)[0]
+        with pytest.raises(AttributeError):
+            step.R_i = 0.0
 
 
 class TestExitCodes:
@@ -303,6 +337,9 @@ class TestExitCodes:
             "sweep-count --protocol circular-pincer --Vs 1e17",
             "schedule --protocol circular-pincer --Vs 1e17",
             "simulate --protocol circular-pincer --Vs 1e17 --bins 360",
+            "totals --protocol circular-same --Vs 1e17",
+            "sweep-count --protocol circular-same --Vs 1e17",
+            "schedule --protocol circular-same --Vs 1e17",
         ],
     )
     def test_invalid_scenario_is_config_error(self, capsys, argv):
@@ -315,6 +352,14 @@ class TestExitCodes:
     def test_schedule_past_the_sweep_cap_fails_before_iterating(self, capsys, Vs):
         # the closed-form count is above the cap, so no sweep is iterated
         assert main(["schedule", "--protocol", "circular-pincer", "--Vs", Vs]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-count", "totals", "schedule"])
+    def test_circular_same_past_the_sweep_cap_fails_at_once(self, capsys, command):
+        # about 7.7e9 sweeps: the affine count refuses them before iterating
+        start = time.perf_counter()
+        assert main([command, "--protocol", "circular-same", "--Vs", "1e9"]) == 2
+        assert time.perf_counter() - start < 1.0
         assert "numerical failure" in capsys.readouterr().err
 
     def test_large_team_spiral_speed_is_found(self, capsys):
