@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import protocols, spiral_pincer
-from .errors import ConfigError, NoExpansion, SpeedTooLow
+from .errors import ConfigError, MaxIterations, NoExpansion, SpeedTooLow
 from .scenario import ProtocolKind, ScenarioParams, validate
 
 _TWO_PI = 2.0 * math.pi
@@ -46,6 +46,12 @@ _TWO_PI = 2.0 * math.pi
 # can otherwise push a centre that lies where two pincer sectors meet just
 # outside both. Far above that rounding, far below a bin width.
 _EDGE_SNAP = 1e-12
+
+# Most ticks one run may step, counted from its plan and dt before any
+# phase runs. Past it a run is refused (MaxIterations) instead of running
+# for a time the input sets: a circular-pincer expansion of 3.4e8 ticks
+# at 3600 bins took 22 s on a 2-vCPU machine.
+MAX_TICKS = 10**8
 
 
 class BreachKind(Enum):
@@ -106,6 +112,11 @@ _KIND_OF_CENTER = (BreachKind.UNDER_SENSOR, BreachKind.CENTER_REACHED)
 
 @dataclass(frozen=True)
 class SimReport:
+    """One run: its grid, per-sweep records, margins and breaches, plus
+    deterministic counts of the work it did (ticks stepped, crossings
+    found, clearing passes, replayed bins), which repeat exactly across
+    reruns and stay out of the CLI table."""
+
     kind: ProtocolKind
     mode: str
     bins: int
@@ -120,6 +131,13 @@ class SimReport:
     breach_blocks: List[Tuple[np.ndarray, ...]] = field(repr=False)
     center_hits: List[Tuple[int, int, float]] = field(repr=False)
     profiles: Optional[List[np.ndarray]] = None
+    # work done, deterministic: sweep ticks stepped, (defender, bin)
+    # crossings found, clearing passes run (one per crossing rank) and bins
+    # whose fall was replayed step by step near the center
+    ticks: int = 0
+    crossings: int = 0
+    clearing_passes: int = 0
+    replayed_bins: int = 0
 
     @cached_property
     def breach_log(self) -> np.ndarray:
@@ -156,24 +174,18 @@ def _sweep_starts(
     params: ScenarioParams, kind: ProtocolKind, index: int, span: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     n = params.n
-    starts = np.empty(n)
-    dirs = np.empty(n, dtype=np.int64)
-    if protocols.is_pincer(kind):
-        outbound = index % 2 == 0  # even sweeps move apart from the pair axis
-        for p in range(n // 2):
-            axis = _TWO_PI * (2 * p) / n
-            if outbound:
-                starts[2 * p], dirs[2 * p] = axis, 1
-                starts[2 * p + 1], dirs[2 * p + 1] = axis, -1
-            else:
-                starts[2 * p], dirs[2 * p] = axis + span, -1
-                starts[2 * p + 1], dirs[2 * p + 1] = axis - span, 1
-    else:
+    if not protocols.is_pincer(kind):
         # same direction: everyone advances one sector per sweep, the span
         # overlapping into the stretch the neighbour ahead has vacated
-        for d in range(n):
-            starts[d] = _TWO_PI * d / n + index * (_TWO_PI / n)
-            dirs[d] = 1
+        return _TWO_PI * np.arange(n) / n + index * (_TWO_PI / n), np.ones(n, dtype=np.int64)
+    # pair p shares the axis of sector 2p; even sweeps move apart from it
+    axis = _TWO_PI * np.arange(0, n, 2) / n
+    outbound = index % 2 == 0
+    starts = np.empty(n)
+    dirs = np.empty(n, dtype=np.int64)
+    starts[0::2] = axis if outbound else axis + span
+    starts[1::2] = axis if outbound else axis - span
+    dirs[0::2], dirs[1::2] = (1, -1) if outbound else (-1, 1)
     return starts, dirs
 
 
@@ -221,12 +233,13 @@ def _make_sweep(
     )
 
 
-def _defense_plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, cycles: int):
+def _defense_plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig):
     """Hold-the-line phases: every cycle sweeps anchored at R0.
 
     Circular sensors stay put between sweeps. Spiral sensors end each
     sweep a full sensor length below the frontier and climb back during a
-    gap-closing advance of 2r/(Vs+VT) before re-anchoring.
+    gap-closing advance of 2r/(Vs+VT) before re-anchoring. The cycles'
+    ticks are counted against the budget before their phases are built.
     """
     span = protocols.sweep_span(params, Vs, kind, params.R0)
     if protocols.is_spiral(kind):
@@ -237,9 +250,11 @@ def _defense_plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, cycles:
     else:
         duration = span * params.R0 / Vs
         advance = 0.0
+    first = _make_sweep(params, Vs, kind, 0, params.R0, duration, span)
+    _checked_dt(params, Vs, grid, "defense", [first], grid.cycles)
     phases: List = []
-    for c in range(cycles):
-        phases.append(_make_sweep(params, Vs, kind, c, params.R0, duration, span))
+    for c in range(grid.cycles):
+        phases.append(_make_sweep(params, Vs, kind, c, params.R0, duration, span) if c else first)
         if advance > 0.0:
             phases.append(_AdvancePhase(advance))
     return phases, params.R0 + 2.0 * params.r
@@ -307,7 +322,15 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
         except NoExpansion:
             if grid.mode == "expansion":
                 raise
-    return ("defense",) + _defense_plan(params, Vs, kind, grid.cycles)
+    return ("defense",) + _defense_plan(params, Vs, kind, grid)
+
+
+def _ticks(duration: float, dt: float) -> Tuple[int, float]:
+    """Whole ticks of dt in a sweep, and the remainder tick's length (0.0
+    when the remainder is rounding noise and no tick is added for it)."""
+    n_full = int(duration / dt)
+    remainder = duration - n_full * dt
+    return n_full, remainder if remainder > 1e-12 * dt else 0.0
 
 
 def _tick_lengths(duration: float, dt: Optional[float]) -> np.ndarray:
@@ -319,13 +342,50 @@ def _tick_lengths(duration: float, dt: Optional[float]) -> np.ndarray:
     """
     if dt is None:
         return np.array([duration])
-    n_full = int(duration / dt)
-    remainder = duration - n_full * dt
-    extra = 1 if remainder > 1e-12 * dt else 0
-    h = np.full(n_full + extra, dt)
-    if extra:
+    n_full, remainder = _ticks(duration, dt)
+    h = np.full(n_full + (remainder > 0.0), dt)
+    if remainder > 0.0:
         h[-1] = remainder
     return h
+
+
+def _checked_dt(
+    params: ScenarioParams,
+    Vs: float,
+    grid: SimConfig,
+    mode: str,
+    sweeps: Sequence[_SweepPhase],
+    repeats: int = 1,
+) -> float:
+    """The run's dt, once the sweeps, played `repeats` times over, are
+    known to fit the tick budget.
+
+    dt is stability-limited unless grid.dt sets it. A run is refused when
+    it would step more than MAX_TICKS ticks, or when bins * n * (ticks of
+    its longest sweep) reaches 2**63, where _crossings' int64 ranking key
+    would overflow.
+    """
+    binwidth = _TWO_PI / grid.bins
+    max_rate = max(p.max_rate for p in sweeps)
+    if grid.dt is None:
+        dt = min(0.5 * binwidth / max_rate, params.r / (50.0 * Vs))
+    else:
+        dt = grid.dt
+        if dt * max_rate >= binwidth:
+            raise ConfigError(
+                f"dt={dt}: a defender can cross a whole bin per tick "
+                f"(max rate {max_rate:.6g}, bin width {binwidth:.6g})"
+            )
+    counts = [n_full + (rest > 0.0) for n_full, rest in (_ticks(p.duration, dt) for p in sweeps)]
+    ticks, longest = repeats * sum(counts), max(counts)
+    if ticks > MAX_TICKS or grid.bins * params.n * longest >= 2**63:
+        flag = "--cycles" if mode == "defense" else "--max-sweeps"
+        raise MaxIterations(
+            f"{mode} run plans {ticks} ticks at dt={dt:.6g} ({longest} in its longest sweep, "
+            f"{grid.bins} bins, n={params.n}); runs are limited to {MAX_TICKS} ticks and to "
+            f"bins*n*(longest sweep ticks) below 2**63: lower {flag}"
+        )
+    return dt
 
 
 class _Frontier:
@@ -352,6 +412,7 @@ class _Frontier:
         # rho, inner, t), one per recording sweep phase
         self.blocks: List[Tuple[np.ndarray, ...]] = []
         self.hits: List[Tuple[int, int, float]] = []  # center (step, bin, t)
+        self.passes = self.replays = 0  # clear and _replay calls
 
     def begin(self, duration: float, dt: Optional[float]) -> np.ndarray:
         """Start the next phase: a sweep ticked at dt, or an advance (dt None)."""
@@ -369,30 +430,40 @@ class _Frontier:
         self.t, self.level = float(self.times[-1]), float(self.levels[-1])
         return h
 
-    def radius(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Radii of bins j after ticks k of this phase."""
-        return self._radius(j, self.levels[k], self.first + k)
+    def radius(self, j: np.ndarray, k: np.ndarray, level: np.ndarray) -> np.ndarray:
+        """Radii of bins j after ticks k of this phase, at decay levels
+        level = self.levels[k]."""
+        return self._radius(j, level, self.first + k)
 
     def settle(self) -> np.ndarray:
-        """Radii of all bins after the last step so far."""
-        return self._radius(np.arange(len(self.value)), self.level, self.steps - 1)
+        """Radii of all bins after the last step so far, read from the
+        whole value and base arrays."""
+        return self._radius(slice(None), self.level, self.steps - 1)
 
-    def clear(self, j: np.ndarray, k: np.ndarray, rho: np.ndarray) -> None:
-        """Set bins j to rho just after ticks k of this phase."""
+    def clear(self, j: np.ndarray, k: np.ndarray, level: np.ndarray, rho: np.ndarray) -> None:
+        """Set bins j to rho just after ticks k of this phase, at decay
+        levels level = self.levels[k]."""
+        self.passes += 1
         self.value[j] = rho
-        self.base[j] = self.levels[k]
+        self.base[j] = level
         self.ref[j] = self.first + k + 1
 
-    def _radius(self, j: np.ndarray, level, step) -> np.ndarray:
-        """Bins whose lazy radius is near 0 are replayed step by step from
+    def _radius(self, j, level, step) -> np.ndarray:
+        """Radii of bins j, an index array or slice(None) for every bin.
+
+        Bins whose lazy radius is near 0 are replayed step by step from
         their value, subtracting VT*h as a tick loop does, so a center hit
         lands on the tick where the running radius first reaches 0."""
+        value = self.value[j]
         fallen = level - self.base[j]
-        lazy = self.value[j] - fallen
-        near = np.flatnonzero(~self.center_hit[j] & (lazy <= 1e-9 * (self.value[j] + fallen)))
-        ends = np.broadcast_to(step, j.shape)
-        for b, end in zip(j[near].tolist(), ends[near].tolist()):
-            self._replay(b, end)
+        lazy = value - fallen
+        near = np.flatnonzero(lazy <= 1e-9 * (value + fallen))
+        if near.size:
+            bins = near if isinstance(j, slice) else j[near]
+            todo = ~self.center_hit[bins]
+            ends = np.broadcast_to(step, lazy.shape)[near[todo]]
+            for b, end in zip(bins[todo].tolist(), ends.tolist()):
+                self._replay(b, end)
         return np.maximum(lazy, 0.0)
 
     def _drops(self, q: int) -> np.ndarray:
@@ -402,6 +473,7 @@ class _Frontier:
 
     def _replay(self, b: int, end: int) -> None:
         """Record bin b's center hit if its fall reaches 0 by step end."""
+        self.replays += 1
         begin = int(self.ref[b])
         path = [self.value[b : b + 1]]
         for q in range(bisect_right(self.firsts, begin) - 1, len(self.firsts)):
@@ -456,19 +528,28 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     tick whose progress reaches x, i.e. where s_prev < x <= s_now; a bin
     on the start edge (x = 0) is crossed on the first tick. Returns
     defender, bin, distance and tick arrays, plus each crossing's rank
-    among the crossings of its bin in (tick, defender) order. Only bins met
-    more than once (pincer meetings, same-direction overlap) are sorted to
-    rank them; every other crossing has rank 0. Only a window of bins two
-    wider than the sector on each side is measured per defender; every bin
-    beyond it is out of reach.
+    among the crossings of its bin in (tick, defender) order.
+
+    Only a window of bins two wider than the sector on each side is
+    measured per defender; every bin beyond it is out of reach. Distances
+    are fmod(v, 2pi) lifted by 2pi where negative, which is numpy's v % 2pi
+    bit for bit except for the sign of a zero, and the edge snap maps
+    either zero to 0.0. Only bins met more than once (pincer meetings,
+    same-direction overlap) are ranked, by one argsort of the int64 key
+    (bin * K + tick) * n + defender over K ticks, unique per crossing, so
+    the order is that of a (bin, tick, defender) sort; every other
+    crossing has rank 0. run keeps bins * n * K below 2**63.
     """
     M = len(centers)
+    n = len(phase.starts)
     binwidth = _TWO_PI / M
     width = min(int(math.ceil(phase.span / binwidth)) + 5, M)
     low_edge = np.where(phase.dirs > 0, phase.starts, phase.starts - phase.span)
     lowest = np.floor(low_edge / binwidth - 0.5).astype(np.int64) - 2
-    window = (lowest[:, None] + np.arange(width)) % M
-    dist = ((centers[window] - phase.starts[:, None]) * phase.dirs[:, None]) % _TWO_PI
+    window = (lowest % M)[:, None] + np.arange(width)
+    window[window >= M] -= M
+    dist = np.fmod((centers[window] - phase.starts[:, None]) * phase.dirs[:, None], _TWO_PI)
+    np.add(dist, _TWO_PI, out=dist, where=dist < 0.0)
     dist[(dist <= _EDGE_SNAP) | (dist >= _TWO_PI - _EDGE_SNAP)] = 0.0
     dist[np.abs(dist - phase.span) <= _EDGE_SNAP] = phase.span
     flat = np.flatnonzero(dist <= s[-1])
@@ -478,12 +559,14 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     k = np.searchsorted(s, x, side="left")
     rank = np.zeros(len(j), dtype=np.int64)
     shared = np.flatnonzero(np.bincount(j, minlength=M)[j] > 1)
-    shared = shared[np.lexsort((d[shared], k[shared], j[shared]))]
-    js = j[shared]
-    pos = np.arange(len(js))
-    new_bin = np.ones(len(js), dtype=bool)
-    new_bin[1:] = js[1:] != js[:-1]
-    rank[shared] = pos - np.maximum.accumulate(np.where(new_bin, pos, 0))
+    if shared.size:
+        js = j[shared]
+        order = np.argsort((js * len(s) + k[shared]) * n + d[shared])
+        shared, js = shared[order], js[order]
+        pos = np.arange(len(js))
+        new_bin = np.ones(len(js), dtype=bool)
+        new_bin[1:] = js[1:] != js[:-1]
+        rank[shared] = pos - np.maximum.accumulate(np.where(new_bin, pos, 0))
     return d, j, x, k, rank
 
 
@@ -498,16 +581,19 @@ def _sweep(front: _Frontier, phase: _SweepPhase, h: np.ndarray, centers, two_r):
     s = phase.progress(t_local)
     s[-1] = phase.span
     np.maximum.accumulate(s, out=s)
-    inner = phase.inner(t_local)
     d, j, x, k, rank = _crossings(phase, centers, s)
+    inner = phase.inner(t_local[k])
     rho = np.empty(len(j))
     # a bin met by several sensors (pincer meetings, same-direction
     # overlap) takes them in tick and then defender order, one pass each
-    for r in range(int(rank.max()) + 1 if len(j) else 0):
-        sel = np.flatnonzero(rank == r)
-        rho[sel] = front.radius(j[sel], k[sel])
-        front.clear(j[sel], k[sel], np.maximum(rho[sel], inner[k[sel]] + two_r))
-    return d, j, x, k, rho, inner[k]
+    passes = int(rank.max()) + 1 if len(j) else 0
+    for r in range(passes):
+        sel = np.flatnonzero(rank == r) if passes > 1 else slice(None)
+        js, ks = j[sel], k[sel]
+        level = front.levels[ks]
+        rho[sel] = met = front.radius(js, ks, level)
+        front.clear(js, ks, level, np.maximum(met, inner[sel] + two_r))
+    return d, j, x, k, rho, inner
 
 
 def run(
@@ -520,26 +606,18 @@ def run(
 
     Mode "auto" picks defense when Vs is at or below the protocol's
     critical speed (or when eps leaves no room to expand) and expansion
-    otherwise.
+    otherwise. A run that would step more than MAX_TICKS ticks raises
+    MaxIterations before any phase runs.
     """
     params = validate(params)
     if Vs <= params.VT:
         raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={params.VT}")
     _check_config(grid)
     mode, phases, R_ref = _plan(params, Vs, kind, grid)
+    dt = _checked_dt(params, Vs, grid, mode, [p for p in phases if isinstance(p, _SweepPhase)])
 
     M = grid.bins
     binwidth = _TWO_PI / M
-    max_rate = max(p.max_rate for p in phases if isinstance(p, _SweepPhase))
-    if grid.dt is None:
-        dt = min(0.5 * binwidth / max_rate, params.r / (50.0 * Vs))
-    else:
-        dt = grid.dt
-        if dt * max_rate >= binwidth:
-            raise ConfigError(
-                f"dt={dt}: a defender can cross a whole bin per tick "
-                f"(max rate {max_rate:.6g}, bin width {binwidth:.6g})"
-            )
     grid_tolerance = R_ref * binwidth + params.VT * dt
     breach_tol = grid_tolerance if grid.breach_tol is None else grid.breach_tol
 
@@ -549,6 +627,7 @@ def run(
     sweeps: List[SweepRecord] = []
     profiles: Optional[List[np.ndarray]] = [] if grid.capture_profiles else None
     min_margin = math.inf
+    ticks = crossings = 0
 
     for phase in phases:
         if isinstance(phase, _AdvancePhase):
@@ -559,6 +638,8 @@ def run(
 
         h = front.begin(phase.duration, dt)
         d, j, x, k, rho, inner = _sweep(front, phase, h, centers, 2.0 * params.r)
+        ticks += len(h)
+        crossings += len(j)
         margins = rho - inner
         sweep_margin = float(margins.min()) if len(margins) else math.inf
         if phase.index >= 1:  # warm-up sweep excluded from reporting
@@ -592,6 +673,10 @@ def run(
         breach_blocks=front.blocks,
         center_hits=front.hits,
         profiles=profiles,
+        ticks=ticks,
+        crossings=crossings,
+        clearing_passes=front.passes,
+        replayed_bins=front.replays,
     )
 
 

@@ -317,6 +317,34 @@ def wavefront_run(phases, bins, dt, R0, r, VT, breach_tol, snap) -> OracleWavefr
     return OracleWavefront(t, sweeps, min_margin, breaches, profiles)
 
 
+def sweep_starts(n, pincer, index, span):
+    """Start angle and direction (+1 counter-clockwise) of each of n
+    defenders in sweep `index`, one defender at a time.
+
+    Pincer pair p shares the axis of sector 2p: even sweeps leave it back
+    to back, odd sweeps return to it from span away. Same-direction
+    defenders all turn counter-clockwise, one sector further each sweep.
+    """
+    two_pi = 2.0 * math.pi
+    starts = np.empty(n)
+    dirs = np.empty(n, dtype=np.int64)
+    if pincer:
+        outbound = index % 2 == 0
+        for p in range(n // 2):
+            axis = two_pi * (2 * p) / n
+            if outbound:
+                starts[2 * p], dirs[2 * p] = axis, 1
+                starts[2 * p + 1], dirs[2 * p + 1] = axis, -1
+            else:
+                starts[2 * p], dirs[2 * p] = axis + span, -1
+                starts[2 * p + 1], dirs[2 * p + 1] = axis - span, 1
+    else:
+        for d in range(n):
+            starts[d] = two_pi * d / n + index * (two_pi / n)
+            dirs[d] = 1
+    return starts, dirs
+
+
 def sorted_crossings(phase, centers, s, snap):
     """Every (defender, bin) crossing of a sweep phase, sorted by (bin,
     tick, defender), with each crossing's rank among those of its bin.

@@ -362,6 +362,28 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # 3289 sweeps, about 3.4e8 ticks: 22 s if it ran
+            ("--Vs 1e3 --mode expansion", "--max-sweeps"),
+            ("--Vs 40 --mode defense --cycles 1000000000", "--cycles"),
+        ],
+    )
+    def test_simulate_past_the_tick_budget_fails_at_once(self, capsys, argv, flag):
+        start = time.perf_counter()
+        assert main(["simulate", "--protocol", "circular-pincer", *argv.split()]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and flag in err
+        assert str(simulator.MAX_TICKS) in err
+
+    def test_simulate_within_the_tick_budget_runs(self, capsys):
+        argv = "--Vs 1e3 --mode expansion --max-sweeps 20"
+        assert main(["simulate", "--protocol", "circular-pincer", *argv.split()]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 20 and all(row.endswith(",0,ok") for row in rows)
+
     def test_large_team_spiral_speed_is_found(self, capsys):
         # n*r = 64*R0: ten times the circular critical speed is below VT
         assert main(["critical-speeds", "--R0", "100", "--r", "50", "--n", "128"]) == 0

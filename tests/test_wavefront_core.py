@@ -180,12 +180,13 @@ def test_simulate_tables_match_golden(tmp_path, name):
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
-@pytest.mark.parametrize("n", [2, 32, 128])
+@pytest.mark.parametrize("n", [2, 32, 128, 130])
 @pytest.mark.parametrize("mode", ["defense", "expansion"])
 def test_crossing_ranks_match_a_full_sort(monkeypatch, kind, n, mode):
     # only bins met more than once are sorted to rank their crossings; the
     # (defender, bin, distance, tick, rank) set must equal the one a sort
-    # of every crossing gives, on every sweep phase the planner lays out
+    # of every crossing gives, on every sweep phase the planner lays out.
+    # At 3601 bins, or n = 130, sector edges fall between bin centres.
     params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=n, eps=0.1)
     Vc = CRITICAL[kind](params)
     Vs = max(0.9 * Vc, 1.1 * params.VT) if mode == "defense" else Vc + 10.0 * params.VT
@@ -199,9 +200,10 @@ def test_crossing_ranks_match_a_full_sort(monkeypatch, kind, n, mode):
         return got
 
     monkeypatch.setattr(simulator, "_crossings", recorded)
-    for bins in (360, 3600, 36000):
+    grids = (360, 3600, 3601, 36000)
+    for bins in grids:
         simulator.run(params, Vs, kind, SimConfig(bins=bins, mode=mode, cycles=2, max_sweeps=2))
-    assert len(pairs) == 3 * 2
+    assert len(pairs) == len(grids) * 2
     shared = 0
     for got, want in pairs:
         assert sorted(zip(*(a.tolist() for a in got))) == sorted(zip(*(a.tolist() for a in want)))
@@ -210,6 +212,45 @@ def test_crossing_ranks_match_a_full_sort(monkeypatch, kind, n, mode):
     # whose centres sit on a sector edge, as some do at n = 32
     if not protocols.is_pincer(kind) or n == 32:
         assert shared > 0, "the comparison should cover bins met more than once"
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.CIRCULAR_PINCER, ProtocolKind.CIRCULAR_SAME_DIRECTION])
+@pytest.mark.parametrize("n", [2, 4, 32, 128, 130])
+def test_sweep_starts_match_a_per_defender_loop(kind, n):
+    # same-direction starts pass 2pi from index n on
+    params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
+    span = 2.0 * math.pi / n + 0.01
+    for index in range(2 * n + 1):
+        starts, dirs = simulator._sweep_starts(params, kind, index, span)
+        want_starts, want_dirs = oracles.sweep_starts(n, protocols.is_pincer(kind), index, span)
+        assert starts.tobytes() == want_starts.tobytes()
+        assert dirs.tolist() == want_dirs.tolist()
+
+
+def test_run_counts_its_work():
+    # spiral-same at n = 32 shares bins, so some phases take several passes
+    params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=32, eps=0.1)
+    kind = ProtocolKind.SPIRAL_SAME_DIRECTION
+    grid = SimConfig(bins=720, mode="defense", cycles=2)
+    rep = simulator.run(params, 1.2, kind, grid)
+    _, phases, _ = simulator._plan(params, 1.2, kind, grid)
+    centers = (np.arange(grid.bins) + 0.5) * (2.0 * math.pi / grid.bins)
+    ticks = crossings = passes = 0
+    for ph in phases:
+        if isinstance(ph, simulator._AdvancePhase):
+            continue
+        h = simulator._tick_lengths(ph.duration, rep.dt)
+        t = np.cumsum(h)
+        s = np.maximum.accumulate(np.append(ph.progress(t[:-1]), ph.span))
+        _, j, _, _, rank = oracles.sorted_crossings(ph, centers, s, simulator._EDGE_SNAP)
+        ticks, crossings, passes = ticks + len(h), crossings + len(j), passes + int(rank.max()) + 1
+    assert passes > len(rep.sweeps)
+    assert (rep.ticks, rep.crossings, rep.clearing_passes) == (ticks, crossings, passes)
+    assert rep.replayed_bins == 0
+    # hopeless: every center hit is found by replaying the bin's fall
+    params = ScenarioParams(R0=5.0, r=1.0, VT=1.0, n=2, eps=0.1)
+    rep = simulator.run(params, 1.5, ProtocolKind.CIRCULAR_PINCER, SimConfig(bins=720, mode="defense"))
+    assert rep.replayed_bins >= len(rep.center_hits) > 0
 
 
 @pytest.mark.parametrize(
