@@ -40,7 +40,6 @@ from .errors import (
 from .protocols import CRITICAL as _CRITICAL
 from .report import Table
 from .scenario import ExpansionStep, ProtocolKind, ScenarioParams, validate
-from .simulator import SimConfig
 
 
 class SpeedMode(Enum):
@@ -54,9 +53,10 @@ _KIND_BY_NAME = {k.value: k for k in ProtocolKind}
 # domain outcomes that mark a grid point instead of aborting the sweep
 _ROW_ERRORS = (SubcriticalSpeed, NoExpansion, SpeedTooLow)
 
-# Most values one list key may hold. A lo:hi:step token is counted before
-# it is expanded, so a token like 2:2000000000:2 is refused at once instead
-# of growing time and memory with its count.
+# Most values one list key may hold, and most points one grid may hold. A
+# lo:hi:step token is counted before it is expanded, so a token like
+# 2:2000000000:2 is refused at once instead of growing time and memory with
+# its count; a grid is counted before any of its rows is built.
 MAX_LIST_VALUES = 1_000_000
 
 
@@ -269,7 +269,14 @@ def _resolved_speeds(
 
 
 def _grid(cfg: RunConfig):
-    """Deterministic row order: protocol, then n, then eps, then speed."""
+    """Deterministic row order: protocol, then n, then eps, then speed;
+    refused before its first point when it holds over MAX_LIST_VALUES."""
+    speed_key = "Vs" if cfg.speed_mode is SpeedMode.ABSOLUTE else "dV"
+    size = len(cfg.protocol) * len(cfg.n) * len(cfg.eps) * len(getattr(cfg, speed_key))
+    if size > MAX_LIST_VALUES:
+        raise ConfigError(
+            f"protocol x n x eps x {speed_key} is {size} grid points, more than {MAX_LIST_VALUES}"
+        )
     for kind in cfg.protocol:
         for n in cfg.n:
             for eps in cfg.eps:
@@ -383,7 +390,7 @@ _sweep_cells = attrgetter(*_SWEEP_COLUMNS)
 
 
 def _simulate_rows(cfg, kind, params, Vs):
-    grid = SimConfig(
+    grid = simulator.SimConfig(
         bins=cfg.bins, dt=cfg.dt, mode=cfg.mode, cycles=cfg.cycles, max_sweeps=cfg.max_sweeps
     )
     rep = simulator.run(params, Vs, kind, grid)

@@ -14,7 +14,7 @@ and the safeguard only matters for sloppy brackets.
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import MaxIterations, NoBracket
+from .errors import MaxIterations, NoBracket, RootNotFound
 
 # Relative step for the central finite-difference derivative. Both target
 # objectives compose exp/arcsin terms where hand-derived formulas invite
@@ -111,3 +111,26 @@ def solve(p: RootProblem) -> float:
             x = 0.5 * (lo + hi)
             fx = f(x)
     raise MaxIterations(f"no root after {p.max_iter} iterations; last x = {x}, f = {fx}")
+
+
+def solve_widening(p: RootProblem, what: str) -> float:
+    """Like solve, for an objective positive at p.bracket_lo and negative
+    past its root: p.bracket_hi is doubled in place, up to 60 times, while
+    it is at or below bracket_lo (no solve is run) or the objective there
+    is still positive (solve's NoBracket says so).
+
+    Raises RootNotFound "{what} search failed: ..." for a wrong-signed
+    lower end, a solve that does not converge, or no bracket at all.
+    """
+    try:
+        for _ in range(60):
+            if p.bracket_hi > p.bracket_lo:
+                try:
+                    return solve(p)
+                except NoBracket as exc:
+                    if exc.f_hi <= 0.0:
+                        raise
+            p.bracket_hi *= 2.0
+    except (NoBracket, MaxIterations) as exc:
+        raise RootNotFound(f"{what} search failed: {exc}") from exc
+    raise RootNotFound(f"{what} search failed: no upper bracket")

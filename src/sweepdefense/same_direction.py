@@ -25,22 +25,14 @@ fails before the loop runs.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import count, repeat
 from typing import List, Tuple
 
 from .affine import ITERATION_CAP as _ITERATION_CAP
 from .affine import AffineRecursion
 from .circular_pincer import critical_speed as _circular_pincer_speed
-from .errors import (
-    InvalidParam,
-    MaxIterations,
-    NoBracket,
-    NoExpansion,
-    RootNotFound,
-    SubcriticalSpeed,
-)
-from .rootfind import RootProblem, solve
+from .errors import InvalidParam, MaxIterations, NoExpansion, SubcriticalSpeed
+from .rootfind import RootProblem, solve_widening
 from .scenario import ExpansionStep, ProtocolKind, ProtocolSummary, ScenarioParams
 from .spiral_pincer import _contraction as _spiral_pincer_contraction
 from .spiral_pincer import checked_contraction
@@ -51,15 +43,6 @@ _TWO_PI = 2.0 * math.pi
 # Bisection depth cap for the spiral same-direction asymptote; the loop
 # stops once the midpoint rounds onto an end, after about 55 steps.
 _BISECT_STEPS = 200
-
-
-@dataclass(frozen=True)
-class SameDirectionGeometry:
-    """Guard angle and the two same-direction critical speeds."""
-
-    beta0: float         # extra sector guarded at the initial radius, radians
-    Vc_circ_same: float  # circular same-direction critical speed
-    Vc_spiral_same: float
 
 
 def circular_same_critical_speed(params: ScenarioParams) -> float:
@@ -83,16 +66,16 @@ def _spiral_same_lam(params: ScenarioParams, Vs: float, R: float) -> float:
 def spiral_same_critical_speed(params: ScenarioParams) -> float:
     """Spiral same-direction critical speed, by safeguarded root search.
 
-    The balance adds the guard angle to the sweep span; it is negative at
-    the pincer root, so the pincer root brackets from below and doubling
-    finds an upper end where the sensor wins. The solver evaluates each
-    upper end; it is doubled only while the balance there is not positive.
+    The balance, sweep loss minus sensor coverage as for the pincer, adds
+    the guard angle to the sweep span; it is positive at the pincer root,
+    so the pincer root brackets from below and solve_widening doubles the
+    upper end until the sensor wins.
     """
 
     def balance(Vs: float) -> float:
         lam = _spiral_same_lam(params, Vs, params.R0)
-        return 2.0 * params.r * Vs / (Vs + params.VT) - (params.R0 + params.r) * (
-            1.0 - lam
+        return (params.R0 + params.r) * (1.0 - lam) - 2.0 * params.r * Vs / (
+            Vs + params.VT
         )
 
     lo = _spiral_pincer_speed(params)
@@ -104,28 +87,7 @@ def spiral_same_critical_speed(params: ScenarioParams) -> float:
         guess=lo * (1.0 + 1e-6),
         tol_f=1e-10 * params.r,
     )
-    try:
-        for _ in range(60):
-            try:
-                return solve(problem)
-            except NoBracket as exc:
-                if exc.f_hi > 0.0:
-                    raise
-            problem.bracket_hi *= 2.0
-    except (NoBracket, MaxIterations) as exc:
-        raise RootNotFound(f"same-direction spiral speed search failed: {exc}") from exc
-    raise RootNotFound("no upper bracket for the same-direction spiral speed")
-
-
-def geometry(params: ScenarioParams) -> SameDirectionGeometry:
-    """Both same-direction critical speeds plus the guard angle at R0,
-    evaluated at the spiral root."""
-    Vc_spiral = spiral_same_critical_speed(params)
-    return SameDirectionGeometry(
-        beta0=guard_angle(params, Vc_spiral, params.R0),
-        Vc_circ_same=circular_same_critical_speed(params),
-        Vc_spiral_same=Vc_spiral,
-    )
+    return solve_widening(problem, "same-direction spiral speed")
 
 
 def _spiral_same_asymptote(params: ScenarioParams, Vs: float) -> float:

@@ -29,7 +29,6 @@ excluded from reporting; steady state begins with the second sweep.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -54,29 +53,6 @@ _EDGE_SNAP = 1e-12
 MAX_TICKS = 10**8
 
 
-class BreachKind(Enum):
-    UNDER_SENSOR = "UnderSensor"
-    CENTER_REACHED = "CenterReached"
-
-
-@dataclass(frozen=True)
-class BreachEvent:
-    t: float             # simulation time of the event
-    bin: int             # angular bin index
-    rho_at_pass: float   # frontier radius when the sensor passed (0 for center hits)
-    sensor_inner: float  # sensor inner-tip radius at that moment
-    kind: BreachKind
-
-
-@dataclass(frozen=True)
-class DefenderPose:
-    id: int
-    angle: float     # polar angle of the sensor line, radians
-    r_inner: float   # sensor span is [r_inner, r_outer], r_outer - r_inner = 2r
-    r_outer: float
-    direction: int   # +1 counter-clockwise, -1 clockwise
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     index: int
@@ -93,21 +69,19 @@ class SimConfig:
     mode: str = "auto"                  # auto | defense | expansion
     cycles: int = 3                     # defense cycles to run
     max_sweeps: Optional[int] = None    # truncate expansion schedules
-    breach_tol: Optional[float] = None  # default: the grid tolerance
     capture_profiles: bool = False      # keep a frontier copy per sweep end
 
 
-# one row per breach, in tick-loop order; center hits have rho and inner 0
+# one row per breach, in tick-loop order
 _BREACH_DTYPE = np.dtype(
     [
-        ("t", np.float64),
-        ("bin", np.int64),
-        ("rho_at_pass", np.float64),
-        ("sensor_inner", np.float64),
-        ("center", np.bool_),
+        ("t", np.float64),             # simulation time of the event
+        ("bin", np.int64),             # angular bin index
+        ("rho_at_pass", np.float64),   # frontier radius the sensor met (0 for center hits)
+        ("sensor_inner", np.float64),  # sensor inner-tip radius then (0 for center hits)
+        ("center", np.bool_),          # the front reached the center, not a sensor breach
     ]
 )
-_KIND_OF_CENTER = (BreachKind.UNDER_SENSOR, BreachKind.CENTER_REACHED)
 
 
 @dataclass(frozen=True)
@@ -140,17 +114,9 @@ class SimReport:
     replayed_bins: int = 0
 
     @cached_property
-    def breach_log(self) -> np.ndarray:
+    def breaches(self) -> np.ndarray:
         """The breach log as _BREACH_DTYPE rows, sorted on first access."""
         return _breach_log(self.breach_blocks, self.center_hits)
-
-    @cached_property
-    def breaches(self) -> List[BreachEvent]:
-        """The breach log as events, built on first access."""
-        return [
-            BreachEvent(t=t, bin=b, rho_at_pass=rho, sensor_inner=inner, kind=_KIND_OF_CENTER[c])
-            for t, b, rho, inner, c in self.breach_log.tolist()
-        ]
 
 
 @dataclass(frozen=True)
@@ -309,8 +275,6 @@ def _check_config(grid: SimConfig) -> None:
         raise ConfigError(f"max_sweeps={grid.max_sweeps}: must be positive")
     if grid.dt is not None and grid.dt <= 0.0:
         raise ConfigError(f"dt={grid.dt}: must be positive")
-    if grid.breach_tol is not None and grid.breach_tol < 0.0:
-        raise ConfigError(f"breach_tol={grid.breach_tol}: must be nonnegative")
 
 
 def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig):
@@ -619,7 +583,6 @@ def run(
     M = grid.bins
     binwidth = _TWO_PI / M
     grid_tolerance = R_ref * binwidth + params.VT * dt
-    breach_tol = grid_tolerance if grid.breach_tol is None else grid.breach_tol
 
     centers = (np.arange(M) + 0.5) * binwidth
     front = _Frontier(M, params.R0, params.VT)
@@ -644,7 +607,7 @@ def run(
         sweep_margin = float(margins.min()) if len(margins) else math.inf
         if phase.index >= 1:  # warm-up sweep excluded from reporting
             min_margin = min(min_margin, sweep_margin)
-            bad = margins < -breach_tol
+            bad = margins < -grid_tolerance
             front.record(*(a[bad] for a in (k, d, x, j, rho, inner)))
 
         rho_end = front.settle()
@@ -678,27 +641,6 @@ def run(
         clearing_passes=front.passes,
         replayed_bins=front.replays,
     )
-
-
-def initial_poses(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind
-) -> List[DefenderPose]:
-    """Defender poses at the start of the first sweep (anchor R0)."""
-    params = validate(params)
-    if Vs <= params.VT:
-        raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={params.VT}")
-    span = protocols.sweep_span(params, Vs, kind, params.R0)
-    starts, dirs = _sweep_starts(params, kind, 0, span)
-    return [
-        DefenderPose(
-            id=d,
-            angle=float(starts[d] % _TWO_PI),
-            r_inner=params.R0,
-            r_outer=params.R0 + 2.0 * params.r,
-            direction=int(dirs[d]),
-        )
-        for d in range(params.n)
-    ]
 
 
 def margin_curve(

@@ -21,8 +21,8 @@ from . import affine
 from .affine import AffineRecursion
 from .bounds import universal_lower_bound
 from .circular_pincer import critical_speed as _circular_critical_speed
-from .errors import InvalidParam, MaxIterations, NoBracket, RootNotFound, SpeedTooLow
-from .rootfind import RootProblem, solve
+from .errors import InvalidParam, SpeedTooLow
+from .rootfind import RootProblem, solve_widening
 from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioParams
 
 _TWO_PI = 2.0 * math.pi
@@ -113,9 +113,8 @@ def critical_speed(params: ScenarioParams) -> float:
     the balance is about R0 > 0, or at the universal lower bound if that is
     higher. Its upper end is ten times the circular critical speed whenever
     the balance is negative there; for large teams (n*r beyond about
-    63*R0) that end falls below VT, and it is doubled until it brackets.
-    The solver evaluates each upper end; it is doubled only while the
-    balance there is still positive.
+    63*R0) that end falls below VT, and solve_widening doubles it until
+    it brackets.
     """
     lo = max(params.VT * (1.0 + 1e-9), universal_lower_bound(params))
     problem = RootProblem(
@@ -125,18 +124,7 @@ def critical_speed(params: ScenarioParams) -> float:
         guess=critical_speed_initial_guess(params),
         tol_f=1e-10 * params.r,
     )
-    try:
-        for _ in range(60):
-            if problem.bracket_hi > lo:
-                try:
-                    return solve(problem)
-                except NoBracket as exc:
-                    if exc.f_hi <= 0.0:
-                        raise
-            problem.bracket_hi *= 2.0
-    except (NoBracket, MaxIterations) as exc:
-        raise RootNotFound(f"spiral critical speed search failed: {exc}") from exc
-    raise RootNotFound("spiral critical speed search failed: no upper bracket")
+    return solve_widening(problem, "spiral critical speed")
 
 
 def _sensor_centre(params: ScenarioParams, Vs: float) -> AffineRecursion:

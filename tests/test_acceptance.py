@@ -215,8 +215,8 @@ def test_criterion_07_simulator_localizes_critical_speed(kind, crit):
 
     below = simulator.run(BASE, 0.9 * Vc, kind, grid)
     above = simulator.run(BASE, 1.1 * Vc, kind, grid)
-    assert below.breaches, "no breach at 0.9x critical"
-    assert not above.breaches, f"{len(above.breaches)} breaches at 1.1x critical"
+    assert len(below.breaches), "no breach at 0.9x critical"
+    assert len(above.breaches) == 0, f"{len(above.breaches)} breaches at 1.1x critical"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f} s"
     print(f"PASS 07 ({kind.value}): margin zero-crossing at {crossing:.4f} vs "

@@ -614,6 +614,36 @@ class TestParser:
         assert captured.err.startswith("error: n='2:2000002:2': more than 1000000 values")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            # about 9e8 rows, each key under its own cap: hours if it ran
+            ("max-radius --n 2:2000:2 --Vs 50:900000:1", "Vs is 899951000"),
+            # counted before the first critical-speed solve of a delta speed
+            (
+                "totals --protocol spiral-pincer,spiral-same --n 2:2000:2 "
+                "--speed-mode delta-own --dV 1:1000:1",
+                "dV is 2000000",
+            ),
+        ],
+    )
+    def test_oversized_grid_exits_1_naming_the_keys(self, capsys, argv, count):
+        start = time.perf_counter()
+        assert main(argv.split()) == 1
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: protocol x n x eps x {count} grid points, more than 1000000\n"
+        )
+        assert captured.out == ""
+
+    def test_grid_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LIST_VALUES", 4)
+        assert main(["max-radius", "--n", "2,4", "--Vs", "40,50"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert main(["max-radius", "--n", "2,4", "--eps", "0.1,0.2", "--Vs", "40,50"]) == 1
+        assert "is 8 grid points, more than 4" in capsys.readouterr().err
+
     def test_every_subcommand_takes_the_config_keys(self):
         parser = cli.build_parser()
         (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

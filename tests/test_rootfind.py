@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from sweepdefense.errors import MaxIterations, NoBracket
-from sweepdefense.rootfind import RootProblem, solve
+from sweepdefense.errors import MaxIterations, NoBracket, RootNotFound
+from sweepdefense.rootfind import RootProblem, solve, solve_widening
 
 
 def test_parabola_root():
@@ -114,3 +114,41 @@ def test_newton_steps_that_barely_shrink_f_give_way_to_bisection():
     f = lambda x: (x - 1e-7) ** 3
     p = RootProblem(objective=f, bracket_lo=0.0, bracket_hi=1.0, guess=0.5, tol_f=0.0)
     assert abs(solve(p) - 1e-7) < 1e-11
+
+
+def test_widening_finds_a_root_several_doublings_up():
+    p = RootProblem(objective=lambda x: 100.0 - x, bracket_lo=0.0, bracket_hi=1.0, guess=0.5)
+    assert solve_widening(p, "widget") == pytest.approx(100.0, abs=1e-9)
+    assert p.bracket_hi == 128.0  # doubled seven times
+
+
+def test_widening_skips_upper_ends_at_or_below_the_lower_end():
+    # 1.25, 2.5 and 5 lie below the lower end and 10 on it: none is solved
+    # for, so the lower end is evaluated once per solve, at 20 and at 40
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 30.0 - x
+
+    p = RootProblem(objective=f, bracket_lo=10.0, bracket_hi=1.25, guess=15.0)
+    assert solve_widening(p, "widget") == pytest.approx(30.0, abs=1e-9)
+    assert not {1.25, 2.5, 5.0} & set(seen)
+    assert seen.count(10.0) == 2
+    assert 20.0 in seen and 40.0 in seen
+
+
+def test_widening_with_a_wrong_signed_lower_end_names_the_search():
+    p = RootProblem(objective=lambda x: -1.0 - x, bracket_lo=0.0, bracket_hi=1.0, guess=0.5)
+    with pytest.raises(RootNotFound) as info:
+        solve_widening(p, "widget")
+    assert str(info.value) == (
+        "widget search failed: objective(0.0) = -1.0 and objective(1.0) = -2.0 share a sign"
+    )
+    assert isinstance(info.value.__cause__, NoBracket)
+
+
+def test_widening_gives_up_after_sixty_doublings():
+    p = RootProblem(objective=lambda x: 1.0, bracket_lo=0.0, bracket_hi=1.0, guess=0.5)
+    with pytest.raises(RootNotFound, match="^widget search failed: no upper bracket$"):
+        solve_widening(p, "widget")

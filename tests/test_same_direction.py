@@ -88,12 +88,15 @@ class TestCriticalSpeeds:
         monkeypatch.undo()
         assert root == same_direction.spiral_same_critical_speed(p)
 
-    def test_geometry_bundle(self):
-        g = same_direction.geometry(make())
-        assert math.isclose(g.Vc_circ_same, 32.41592653589793, rel_tol=1e-15)
-        assert math.isclose(g.Vc_spiral_same, 17.512655861977365, rel_tol=ROOT_TOL)
-        assert math.isclose(g.beta0, 0.15832443120493822, rel_tol=1e-7)
-        assert 0.0 < g.beta0 < 0.5 * math.pi
+    def test_guard_angle_at_the_spiral_root(self):
+        p = make()
+        Vc_spiral = same_direction.spiral_same_critical_speed(p)
+        beta0 = same_direction.guard_angle(p, Vc_spiral, p.R0)
+        Vc_circ = same_direction.circular_same_critical_speed(p)
+        assert math.isclose(Vc_circ, 32.41592653589793, rel_tol=1e-15)
+        assert math.isclose(Vc_spiral, 17.512655861977365, rel_tol=ROOT_TOL)
+        assert math.isclose(beta0, 0.15832443120493822, rel_tol=1e-7)
+        assert 0.0 < beta0 < 0.5 * math.pi
 
     def test_guard_angle_vanishes_for_huge_regions(self):
         angles = [

@@ -15,7 +15,7 @@ import pytest
 from sweepdefense import circular_pincer, same_direction, simulator, spiral_pincer
 from sweepdefense.errors import ConfigError, NoExpansion, SpeedTooLow, SubcriticalSpeed
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
-from sweepdefense.simulator import BreachKind, SimConfig
+from sweepdefense.simulator import SimConfig
 
 CIRC = ProtocolKind.CIRCULAR_PINCER
 SPIR = ProtocolKind.SPIRAL_PINCER
@@ -73,8 +73,6 @@ class TestConfigValidation:
             simulator.run(make(), 40.0, CIRC, SimConfig(cycles=0))
         with pytest.raises(ConfigError):
             simulator.run(make(), 40.0, CIRC, SimConfig(max_sweeps=0))
-        with pytest.raises(ConfigError):
-            simulator.run(make(), 40.0, CIRC, SimConfig(breach_tol=-0.1))
 
     def test_margin_curve_speed_grid(self):
         with pytest.raises(ConfigError):
@@ -92,26 +90,7 @@ class TestConfigValidation:
             simulator.run(p, 41.0, CIRC, SimConfig(mode="expansion"))
 
 
-class TestPoses:
-    def test_pincer_pairs_mirrored(self):
-        p = make(n=8)
-        poses = simulator.initial_poses(p, 40.0, CIRC)
-        assert len(poses) == 8
-        for k in range(4):
-            a, b = poses[2 * k], poses[2 * k + 1]
-            assert a.angle == pytest.approx(b.angle), "pair starts back to back"
-            assert a.direction == -b.direction
-            assert a.r_outer - a.r_inner == pytest.approx(2.0 * p.r)
-            assert a.r_inner == pytest.approx(p.R0)
-
-    def test_same_direction_equally_spaced(self):
-        p = make(n=4)
-        poses = simulator.initial_poses(p, 40.0, CIRC_SAME)
-        angles = [q.angle for q in poses]
-        gaps = np.diff(angles)
-        assert np.allclose(gaps, math.pi / 2.0)
-        assert all(q.direction == 1 for q in poses)
-
+class TestModeResolution:
     def test_auto_mode_resolution(self):
         p = make()
         assert cached_run(p, 20.0, CIRC).mode == "defense"
@@ -131,7 +110,7 @@ class TestCircularDefense:
         assert abs(rep.min_margin) <= rep.grid_tolerance, (
             f"margin {rep.min_margin} at Vc should sit within {rep.grid_tolerance}"
         )
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
 
     @pytest.mark.parametrize("factor", [0.9, 0.95, 1.05, 1.1])
     def test_margin_matches_budget(self, factor):
@@ -148,13 +127,13 @@ class TestCircularDefense:
         Vc = circular_pincer.critical_speed(p)
         below = cached_run(p, 0.9 * Vc, CIRC, SimConfig(mode="defense"))
         above = cached_run(p, 1.1 * Vc, CIRC, SimConfig(mode="defense"))
-        assert below.breaches, "subcritical defense must leak"
-        assert above.breaches == []
+        assert len(below.breaches), "subcritical defense must leak"
+        assert len(above.breaches) == 0
         ev = below.breaches[0]
-        assert ev.kind is BreachKind.UNDER_SENSOR
-        assert ev.rho_at_pass < ev.sensor_inner
-        assert 0 <= ev.bin < below.bins
-        assert ev.t > 0.0
+        assert not ev["center"]
+        assert ev["rho_at_pass"] < ev["sensor_inner"]
+        assert 0 <= ev["bin"] < below.bins
+        assert ev["t"] > 0.0
 
     @pytest.mark.parametrize(
         "R0,r,VT,n", [(50.0, 5.0, 0.5, 4), (200.0, 8.0, 2.0, 6), (30.0, 3.0, 0.2, 2)]
@@ -174,7 +153,7 @@ class TestSpiralDefense:
         # spiral margins carry no angular quantization: the sensor tracks
         # the frontier, so tick rounding cancels out of the difference
         assert abs(rep.min_margin) <= 1e-9 * p.R0
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     @pytest.mark.parametrize("factor", [0.95, 1.05])
@@ -192,7 +171,7 @@ class TestSpiralDefense:
         root = spiral_pincer.critical_speed(p)
         below = cached_run(p, 0.9 * root, SPIR, SimConfig(mode="defense"))
         above = cached_run(p, 1.1 * root, SPIR, SimConfig(mode="defense"))
-        assert below.breaches and above.breaches == []
+        assert len(below.breaches) and len(above.breaches) == 0
 
     def test_every_counted_cycle_sees_the_same_margin(self):
         p = make()
@@ -209,7 +188,7 @@ class TestSameDirectionDefense:
         root = same_direction.spiral_same_critical_speed(p)
         rep = cached_run(p, root, SPIR_SAME, SimConfig(mode="defense"))
         assert abs(rep.min_margin) <= 1e-9 * p.R0
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
 
     def test_circular_same_holds_with_slack_at_critical(self):
         # the single-direction criterion spends r on the handoff overlap,
@@ -217,7 +196,7 @@ class TestSameDirectionDefense:
         p = make()
         Vc = same_direction.circular_same_critical_speed(p)
         rep = cached_run(p, Vc, CIRC_SAME, SimConfig(mode="defense"))
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
         assert rep.min_margin > 0.5 * p.r
 
     @pytest.mark.parametrize("kind", [CIRC, SPIR, CIRC_SAME, SPIR_SAME])
@@ -231,7 +210,7 @@ class TestSameDirectionDefense:
         }[kind](p)
         rep = simulator.run(p, Vs, kind, SimConfig(bins=720, mode="defense"))
         assert rep.min_margin > 0.0
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
 
 
 class TestExpansionRadii:
@@ -246,7 +225,7 @@ class TestExpansionRadii:
             hi = step.R_i + 2.0 * p.r           # just cleared at the turnaround
             assert abs(rec.rho_min - lo) <= tol, f"sweep {step.index} rho_min"
             assert abs(rec.rho_max - hi) <= tol, f"sweep {step.index} rho_max"
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
         assert rep.min_margin > 0.0
 
     def test_spiral_sweep_ends_match_schedule(self):
@@ -258,7 +237,7 @@ class TestExpansionRadii:
             flat = step.R_i + step.delta_i
             assert abs(rec.rho_min - flat) <= 1e-9 * p.R0, f"sweep {step.index}"
             assert abs(rec.rho_max - flat) <= 1e-9 * p.R0, f"sweep {step.index}"
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
 
     def test_spiral_shape_preserved(self):
         # the tracking sweep flattens the frontier: at every sweep end the
@@ -288,14 +267,13 @@ class TestExpansionRadii:
                             SimConfig(bins=720, mode="expansion", max_sweeps=5))
         assert len(rep.sweeps) == 5
         assert [s.index for s in rep.sweeps] == [0, 1, 2, 3, 4]
-        assert rep.breaches == []
+        assert len(rep.breaches) == 0
 
     def test_center_reached_when_hopeless(self):
         # a crawl-speed defender cannot stop the front from reaching 0
         p = make(R0=5.0, r=1.0, VT=1.0, n=2)
         rep = simulator.run(p, 1.5, CIRC, SimConfig(bins=720, mode="defense"))
-        kinds = {ev.kind for ev in rep.breaches}
-        assert BreachKind.CENTER_REACHED in kinds
+        assert rep.breaches["center"].any()
 
 
 class TestGridInvariance:

@@ -19,7 +19,7 @@ import pytest
 import oracles
 from sweepdefense import circular_pincer, cli, protocols, same_direction, simulator, spiral_pincer
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
-from sweepdefense.simulator import BreachKind, SimConfig
+from sweepdefense.simulator import SimConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -52,18 +52,18 @@ def assert_matches_oracle(params, Vs, kind, grid):
     rep = simulator.run(params, Vs, kind, grid)
     mode, phases, _ = simulator._plan(params, Vs, kind, grid)
     assert mode == rep.mode
-    tol = rep.grid_tolerance if grid.breach_tol is None else grid.breach_tol
     ref = oracles.wavefront_run(
-        oracle_phases(phases), rep.bins, rep.dt, params.R0, params.r, params.VT, tol,
-        snap=simulator._EDGE_SNAP,
+        oracle_phases(phases), rep.bins, rep.dt, params.R0, params.r, params.VT,
+        rep.grid_tolerance, snap=simulator._EDGE_SNAP,
     )
-    got = [(ev.t, ev.bin, ev.kind.value) for ev in rep.breaches]
+    log = rep.breaches.tolist()
+    got = [(t, j, "CenterReached" if c else "UnderSensor") for t, j, _, _, c in log]
     want = [(t, j, kind_) for t, j, _, _, kind_ in ref.breaches]
     assert got == want
     close = 1e-9 * params.R0
-    for ev, (_, _, rho, inner, _) in zip(rep.breaches, ref.breaches):
-        assert ev.rho_at_pass == pytest.approx(rho, abs=close)
-        assert ev.sensor_inner == pytest.approx(inner, abs=close)
+    for (_, _, rho, inner, _), (_, _, rho_ref, inner_ref, _) in zip(log, ref.breaches):
+        assert rho == pytest.approx(rho_ref, abs=close)
+        assert inner == pytest.approx(inner_ref, abs=close)
     assert rep.t_final == ref.t_final
     assert len(rep.sweeps) == len(ref.sweeps)
     for rec, (index, t, rho_min, rho_max, margin) in zip(rep.sweeps, ref.sweeps):
@@ -92,7 +92,7 @@ def test_defense_matches_tick_loop(n, kind, below):
     grid = SimConfig(bins=1800, mode="defense", cycles=2, capture_profiles=True)
     rep = assert_matches_oracle(params, Vs, kind, grid)
     if below and kind in (ProtocolKind.CIRCULAR_PINCER, ProtocolKind.SPIRAL_PINCER):
-        assert rep.breaches, "the comparison should cover sensor breaches"
+        assert len(rep.breaches), "the comparison should cover sensor breaches"
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
@@ -119,7 +119,7 @@ def test_explicit_dt_with_remainder_tick_matches_tick_loop(kind):
     _, phases, _ = simulator._plan(BASE, Vs, kind, grid)
     assert simulator._tick_lengths(phases[0].duration, grid.dt)[-1] < grid.dt
     rep = assert_matches_oracle(BASE, Vs, kind, grid)
-    assert rep.breaches
+    assert len(rep.breaches)
 
 
 @pytest.mark.parametrize("Vs", [1.5, 1.2])
@@ -129,8 +129,7 @@ def test_center_reached_matches_tick_loop(Vs):
     params = ScenarioParams(R0=5.0, r=1.0, VT=1.0, n=2, eps=0.1)
     grid = SimConfig(bins=720, mode="defense")
     rep = assert_matches_oracle(params, Vs, ProtocolKind.CIRCULAR_PINCER, grid)
-    kinds = {ev.kind for ev in rep.breaches}
-    assert kinds == {BreachKind.CENTER_REACHED, BreachKind.UNDER_SENSOR}
+    assert set(rep.breaches["center"].tolist()) == {True, False}
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -141,7 +140,7 @@ def test_pincer_meeting_bins_are_cleared(n, kind):
     params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
     Vs = 1.1 * CRITICAL[kind](params)
     rep = simulator.run(params, Vs, kind, SimConfig(mode="defense"))
-    assert rep.breaches == []
+    assert len(rep.breaches) == 0
     assert rep.min_margin > 0.0
 
 
@@ -150,7 +149,7 @@ def test_integer_radius_runs_like_a_float_one():
     got = simulator.run(as_int, 40.0, ProtocolKind.CIRCULAR_PINCER)
     want = simulator.run(BASE, 40.0, ProtocolKind.CIRCULAR_PINCER)
     assert got.sweeps == want.sweeps
-    assert got.breaches == want.breaches == []
+    assert len(got.breaches) == len(want.breaches) == 0
 
 
 def read_table(path):
@@ -269,14 +268,14 @@ def test_breach_log_is_sorted_when_first_read(params, Vs, kind):
     grid = SimConfig(bins=720, mode="defense", cycles=2)
     rep = simulator.run(params, Vs, kind, grid)
     count = rep.breach_count
-    assert "breach_log" not in vars(rep)
+    assert "breaches" not in vars(rep)
     _, phases, _ = simulator._plan(params, Vs, kind, grid)
     ref = oracles.wavefront_run(
         oracle_phases(phases), rep.bins, rep.dt, params.R0, params.r, params.VT,
         rep.grid_tolerance, snap=simulator._EDGE_SNAP,
     )
-    log = rep.breach_log
-    assert "breach_log" in vars(rep)
+    log = rep.breaches
+    assert "breaches" in vars(rep)
     assert count == len(log) == len(ref.breaches) > 0
     got = [(t, j, bool(c)) for t, j, _, _, c in log.tolist()]
     want = [(t, j, kind_ == "CenterReached") for t, j, _, _, kind_ in ref.breaches]
