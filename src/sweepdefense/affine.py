@@ -36,6 +36,14 @@ def check_speed(Vs: float, Vc: float, protocol: str) -> None:
         raise SubcriticalSpeed(f"Vs={Vs} is below the {protocol} critical speed {Vc}")
 
 
+def check_finite(radius: float, Vs: float) -> float:
+    """radius, unless it overflowed: a row cannot hold it, and every
+    count or time measured from it is nonsense."""
+    if not math.isfinite(radius):
+        raise InvalidParam("Vs", f"{Vs} puts the asymptote beyond the float range")
+    return radius
+
+
 @dataclass(frozen=True)
 class AffineRecursion:
     """One pincer expansion at sweep speed Vs.
@@ -60,7 +68,7 @@ class AffineRecursion:
     def fixed_point(self) -> float:
         # b/(a*VT), in the order that gives the circular ring its
         # n*Vs*r/(2*pi*VT) to the bit
-        return self.b * self.a_den / (self.params.VT * self.a_num)
+        return check_finite(self.b * self.a_den / (self.params.VT * self.a_num), self.Vs)
 
     @property
     def asymptote(self) -> float:
@@ -117,7 +125,8 @@ class AffineRecursion:
         """Closed-form ceiling of the geometric recursion, except within
         INTEGER_GUARD of an integer, where the recursion is iterated."""
         R0 = self.params.R0
-        x = math.log(self.params.eps / (self.asymptote - R0)) / math.log(self._c2())
+        c2 = self._c2()  # before the logs: refuses a contraction that rounds to 1
+        x = math.log(self.params.eps / (self.asymptote - R0)) / math.log(c2)
         if abs(x - round(x)) > INTEGER_GUARD:
             return max(1, math.ceil(x))
         if round(x) > ITERATION_CAP:

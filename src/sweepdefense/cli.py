@@ -26,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, circular_pincer, protocols, report, same_direction, simulator, spiral_pincer
+from . import __version__, circular_pincer, protocols, report, same_direction, spiral_pincer
 from .bounds import universal_lower_bound
 from .errors import (
     ConfigError,
@@ -390,6 +390,10 @@ _sweep_cells = attrgetter(*_SWEEP_COLUMNS)
 
 
 def _simulate_rows(cfg, kind, params, Vs):
+    # imported here, not at the top: numpy is the simulator's alone, and
+    # the analytic commands start several times faster without it
+    from . import simulator
+
     grid = simulator.SimConfig(
         bins=cfg.bins, dt=cfg.dt, mode=cfg.mode, cycles=cfg.cycles, max_sweeps=cfg.max_sweeps
     )

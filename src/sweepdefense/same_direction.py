@@ -29,7 +29,7 @@ from itertools import count, repeat
 from typing import List, Tuple
 
 from .affine import ITERATION_CAP as _ITERATION_CAP
-from .affine import AffineRecursion
+from .affine import AffineRecursion, check_finite
 from .circular_pincer import critical_speed as _circular_pincer_speed
 from .errors import InvalidParam, MaxIterations, NoExpansion, SubcriticalSpeed
 from .rootfind import RootProblem, solve_widening
@@ -126,7 +126,9 @@ def _targets(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> Tuple[flo
             )
         if Vs == Vc:
             raise NoExpansion("at the critical speed the region never grows")
-        R_asym = params.n * params.r * (Vs - params.VT) / (_TWO_PI * params.VT)
+        R_asym = check_finite(
+            params.n * params.r * (Vs - params.VT) / (_TWO_PI * params.VT), Vs
+        )
     elif kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
         Vc = spiral_same_critical_speed(params)
         if Vs < Vc:

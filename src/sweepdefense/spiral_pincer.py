@@ -95,7 +95,14 @@ def critical_speed_initial_guess(params: ScenarioParams) -> float:
     """
     span = _TWO_PI / params.n
     stretch = math.log((params.R0 + params.r) / (params.R0 - params.r))
-    return params.VT * math.sqrt((span / stretch) ** 2 + 1.0)
+    if stretch == 0.0:
+        # the quotient rounds to 1 once r/R0 is below about 1e-16
+        stretch = math.log1p(2.0 * params.r / (params.R0 - params.r))
+    slope = span / stretch if stretch else math.inf
+    try:
+        return params.VT * math.sqrt(slope**2 + 1.0)
+    except OverflowError:
+        return params.VT * math.hypot(slope, 1.0)
 
 
 def _balance(params: ScenarioParams, Vs: float) -> float:

@@ -96,3 +96,17 @@ def test_fixed_point_of_the_coefficients_is_the_asymptote(mod):
     # c3 turns a radius excess into the sweep-time excess it costs
     first = mod.expansion_schedule(params, Vs)[0]
     assert math.isclose(c.c3 / c.c1 * (params.R0 + shift), first.T_sweep_i, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [circular_pincer.max_radius, circular_pincer.sweep_count,
+     circular_pincer.expansion_schedule, circular_pincer.totals],
+    ids=lambda fn: fn.__name__,
+)
+def test_fixed_point_past_the_float_range_is_an_invalid_speed(fn):
+    # n*Vs*r/(2*pi*VT) = inf: the asymptote, the log of the gap and every
+    # time measured from them would be nonsense
+    params = make(R0=1e155, r=1e154, n=2)
+    with pytest.raises(InvalidParam, match="float range"):
+        fn(params, 1e155)

@@ -693,3 +693,27 @@ class TestOutputStability:
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "n"
         assert doc["rows"][0][0] == 2
+
+
+class TestFloatRangeEdges:
+    def test_spiral_guess_at_a_vanishing_sensor_is_exit_1(self, capsys):
+        # log((R0+r)/(R0-r)) rounds to 0 here; the speed it implies is far
+        # past any the per-sweep contraction can resolve
+        assert main(["critical-speeds", "--R0", "1e12", "--r", "1e-5", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "contraction rounds to 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["max-radius", "sweep-count", "schedule", "totals", "simulate"])
+    @pytest.mark.parametrize("protocol", ["circular-pincer", "circular-same"])
+    def test_asymptote_past_the_float_range_is_exit_1(self, capsys, command, protocol):
+        # n*Vs*r/(2*pi*VT) overflows: no ok row with blank radii, no
+        # math domain error from the log of the gap
+        argv = [command, "--protocol", protocol, "--R0", "1e155", "--r", "1e154", "--Vs", "1e155"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

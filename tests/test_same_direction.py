@@ -273,3 +273,9 @@ class TestProtocolComparison:
         assert spiral_same_time(4) < circ_pincer_time(4)
         for n in (22, 32):
             assert circ_pincer_time(n) < spiral_same_time(n), f"n={n}"
+
+
+def test_circular_same_asymptote_past_the_float_range_is_an_invalid_speed():
+    params = make(R0=1e155, r=1e154)
+    with pytest.raises(InvalidParam, match="float range"):
+        same_direction.max_radius_same(params, 1e155, CIRC)

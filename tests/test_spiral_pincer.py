@@ -344,3 +344,21 @@ class TestTotals:
         assert math.isclose(t.T_out_total, oracle.T_out_total, rel_tol=ORACLE_TOL)
         assert math.isclose(t.T_total, oracle.T_total, rel_tol=ORACLE_TOL)
         assert t.T_total == t.T_sweep_total + t.T_out_total
+
+
+@pytest.mark.parametrize("r", [1e-5, 1e-150, 1e-290])
+def test_initial_guess_at_a_vanishing_sensor_is_a_number(r):
+    # (R0+r)/(R0-r) rounds to 1 below r/R0 of about 1e-16, and the slope
+    # squared overflows below about 1e-154
+    guess = spiral_pincer.critical_speed_initial_guess(make(R0=1e12, r=r))
+    assert guess > 1e16
+    assert not math.isnan(guess)
+
+
+def test_initial_guess_is_unchanged_where_the_log_is_nonzero():
+    params = make(R0=1e12, r=1e-3)
+    span = 2.0 * math.pi / params.n
+    stretch = math.log((params.R0 + params.r) / (params.R0 - params.r))
+    assert stretch > 0.0
+    want = params.VT * math.sqrt((span / stretch) ** 2 + 1.0)
+    assert spiral_pincer.critical_speed_initial_guess(params) == want
