@@ -26,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, circular_pincer, protocols, report, same_direction, spiral_pincer
+from . import __version__, circular_pincer, memo, protocols, report, same_direction, spiral_pincer
 from .bounds import universal_lower_bound
 from .errors import (
     ConfigError,
@@ -484,7 +484,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
-        table = _COMMANDS[args.cmd](cfg)
+        # a target radius gives every grid point its own eps, unknown here
+        gaps = cfg.eps if cfg.target_radius is None else ()
+        with memo.command(gaps):
+            table = _COMMANDS[args.cmd](cfg)
         if cfg.out:
             report.write_table(table, cfg.out, cfg.format)
             report.write_meta(cfg.out, _meta(cfg, args.cmd))

@@ -21,13 +21,22 @@ formula for circular, a bisection of the spiral budget), so
 `expansion_schedule_same` share one plain-float loop over the sweeps.
 The circular loop is the affine pincer recursion with a smaller budget,
 so a circular expansion whose closed-form count is past the sweep cap
-fails before the loop runs.
+fails before the loop runs. A run whose radius a sweep leaves unchanged
+short of its target fails at once, as the cap would end it.
+
+eps moves only where an expansion stops, so inside a `memo.command` the
+eps values a table plans share one loop per (kind, n, Vs): the first of
+them runs it to the farthest target and every eps takes its sums over
+its own prefix, in the order a run of its own adds them. The critical
+speed and the spiral asymptote are solved once per command as well.
 """
 
 import math
-from itertools import count, repeat
-from typing import List, Tuple
+from dataclasses import replace
+from itertools import accumulate, count, islice, repeat
+from typing import Dict, List, Sequence, Tuple, Union
 
+from . import memo
 from .affine import ITERATION_CAP as _ITERATION_CAP
 from .affine import AffineRecursion, check_finite
 from .circular_pincer import critical_speed as _circular_pincer_speed
@@ -63,6 +72,7 @@ def _spiral_same_lam(params: ScenarioParams, Vs: float, R: float) -> float:
     )
 
 
+@memo.per_scene
 def spiral_same_critical_speed(params: ScenarioParams) -> float:
     """Spiral same-direction critical speed, by safeguarded root search.
 
@@ -90,6 +100,7 @@ def spiral_same_critical_speed(params: ScenarioParams) -> float:
     return solve_widening(problem, "same-direction spiral speed")
 
 
+@memo.per_scene
 def _spiral_same_asymptote(params: ScenarioParams, Vs: float) -> float:
     """Radius where the same-direction spiral budget runs out.
 
@@ -176,10 +187,13 @@ def _check_circular_count(params: ScenarioParams, Vs: float, R_target: float) ->
         raise MaxIterations(f"the expansion needs about {N} sweeps, more than {_ITERATION_CAP}")
 
 
-def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, R_target: float):
-    """Sweep-start radii, sweep times, raw and effective budgets, one
-    entry per sweep until the radius reaches R_target.
+def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Sequence[float]):
+    """Sweep times and effective budgets, one entry per sweep until the
+    radius reaches the last of the rising targets; and, for each target
+    it reaches, the sweep count and the last sweep-start radius.
 
+    A target is not reached within the sweep cap, nor past a radius that
+    a sweep leaves unchanged: every later sweep would repeat that one.
     Plain floats only; the invariant factors are hoisted, every per-sweep
     expression keeps the evaluation order of the step formulas.
     """
@@ -191,12 +205,10 @@ def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, R_target: fl
         two_r = 2.0 * r
         two_r_Vs = two_r * Vs
         lateral = math.sqrt(Vs * Vs - VT * VT)
-    else:
-        _check_circular_count(params, Vs, R_target)
-    R_list: List[float] = []
     T_list: List[float] = []
-    delta_list: List[float] = []
     eff_list: List[float] = []
+    ends: List[Tuple[int, float]] = []
+    R_target = targets[0]
     R = params.R0
     for _ in range(_ITERATION_CAP):
         if spiral:
@@ -210,27 +222,35 @@ def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, R_target: fl
             T = (_TWO_PI * R / n + r) / Vs
             delta = r - VT * T
         delta_eff = delta * Vs / closing
-        R_list.append(R)
         T_list.append(T)
-        delta_list.append(delta)
         eff_list.append(delta_eff)
-        R += delta_eff
-        if R >= R_target:
-            break
-    else:
-        raise MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
-    return R_list, T_list, delta_list, eff_list
+        R_next = R + delta_eff
+        if R_next >= R_target:
+            reached = sum(t <= R_next for t in targets)
+            ends += [(len(T_list), R)] * (reached - len(ends))
+            if reached == len(targets):
+                break
+            R_target = targets[reached]
+        elif R_next == R:
+            break  # below R_target for good
+        R = R_next
+    return T_list, eff_list, ends
+
+
+def _cap_message() -> str:
+    return f"schedule exceeded {_ITERATION_CAP} sweeps"
 
 
 def _summary(
-    Vs: float, R_asym: float, R_target: float, R_list, T_list, eff_list
+    Vs: float, R_asym: float, R_target: float, N: int, R_last: float, T_list, eff_list
 ) -> ProtocolSummary:
-    R_last = R_list[-1]
+    """The summary of the first N sweeps; the sums run over the first N
+    entries alone, in the order a run of N sweeps adds them."""
     T_out_last = (R_target - R_last) / Vs
-    T_sweep_total = sum(T_list)
-    T_out_total = sum(e / Vs for e in eff_list[:-1]) + T_out_last
+    T_sweep_total = sum(islice(T_list, N))
+    T_out_total = sum(e / Vs for e in islice(eff_list, N - 1)) + T_out_last
     return ProtocolSummary(
-        N_n=len(R_list),
+        N_n=N,
         R_last=R_last,
         R_max=R_target,
         R_asym=R_asym,
@@ -241,12 +261,55 @@ def _summary(
     )
 
 
+def _summaries(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, R_asym: float, gaps
+) -> Dict[float, Union[ProtocolSummary, str]]:
+    """The summary of the expansion to R_asym - eps for each eps in gaps,
+    from one run of sweeps to the farthest target. An eps whose run would
+    fail gets the message of its MaxIterations instead; one whose target
+    is not above R0 is left out."""
+    out: Dict[float, Union[ProtocolSummary, str]] = {}
+    targets: Dict[float, float] = {}
+    for eps in gaps:
+        R_target = R_asym - eps
+        if R_target <= params.R0:
+            continue
+        if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
+            try:
+                _check_circular_count(replace(params, eps=eps), Vs, R_target)
+            except MaxIterations as exc:
+                out[eps] = str(exc)
+                continue
+        targets[eps] = R_target
+    if targets:
+        rising = sorted(set(targets.values()))
+        T_list, eff_list, ends = _iterate(params, Vs, kind, rising)
+        for eps, R_target in targets.items():
+            k = rising.index(R_target)
+            out[eps] = (
+                _summary(Vs, R_asym, R_target, *ends[k], T_list, eff_list)
+                if k < len(ends)
+                else _cap_message()
+            )
+    return out
+
+
 def totals_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> ProtocolSummary:
     """Summary of a derived same-direction expansion, by direct summation
-    over the sweeps, without building the per-sweep steps."""
-    R_asym, R_target = _targets(params, Vs, kind)
-    R_list, T_list, _, eff_list = _iterate(params, Vs, kind, R_target)
-    return _summary(Vs, R_asym, R_target, R_list, T_list, eff_list)
+    over the sweeps, without building the per-sweep steps.
+
+    Inside a memo.command, the eps values the command plans share one run
+    of sweeps per (kind, n, Vs); every result is the one its own run gives.
+    """
+    R_asym, _ = _targets(params, Vs, kind)
+    outcome = memo.per_gap(
+        ("same_direction.totals_same", kind, params.R0, params.r, params.VT, params.n, Vs),
+        params.eps,
+        lambda gaps: _summaries(params, Vs, kind, R_asym, gaps),
+    )
+    if isinstance(outcome, str):
+        raise MaxIterations(outcome)
+    return outcome
 
 
 def expansion_schedule_same(
@@ -259,13 +322,24 @@ def expansion_schedule_same(
     radius, so its contraction factor changes from step to step.
     """
     R_asym, R_target = _targets(params, Vs, kind)
-    R_list, T_list, delta_list, eff_list = _iterate(params, Vs, kind, R_target)
+    if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
+        _check_circular_count(params, Vs, R_target)
+    T_list, eff_list, ends = _iterate(params, Vs, kind, (R_target,))
+    if not ends:
+        raise MaxIterations(_cap_message())
+    N, R_last = ends[0]
+    # the radii and raw budgets the loop did not keep, by the same float
+    # operations: R_{i+1} = R_i + delta_eff_i, delta_i = b - VT*T_i
+    R_list = list(accumulate(islice(eff_list, N - 1), initial=params.R0))
     if kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
+        b = 2.0 * params.r
         Rtilde = [R + params.r for R in R_list]
     else:
+        b = params.r
         Rtilde = repeat(None)
+    delta_list = [b - params.VT * T for T in T_list]
     T_out = [delta_eff / Vs for delta_eff in eff_list]
     # each step's cells in field order, one list per column
     cells = zip(count(), R_list, Rtilde, delta_list, eff_list, T_list, T_out)
     steps = list(map(ExpansionStep._make, cells))
-    return steps, _summary(Vs, R_asym, R_target, R_list, T_list, eff_list)
+    return steps, _summary(Vs, R_asym, R_target, N, R_last, T_list, eff_list)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from . import affine
+from . import affine, memo
 from .affine import AffineRecursion
 from .bounds import universal_lower_bound
 from .circular_pincer import critical_speed as _circular_critical_speed
@@ -113,6 +113,7 @@ def _balance(params: ScenarioParams, Vs: float) -> float:
     )
 
 
+@memo.per_scene
 def critical_speed(params: ScenarioParams) -> float:
     """Slowest speed at which one spiral sweep covers what the front takes.
 

@@ -5,7 +5,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepdefense import ScenarioParams, universal_lower_bound, validate
+import pytest
+
+from sweepdefense import InvalidParam, ScenarioParams, universal_lower_bound, validate
 
 REL_TOL = 1e-12
 
@@ -29,6 +31,16 @@ def test_linear_in_VT():
     assert math.isclose(
         universal_lower_bound(make(VT=2.0)), 31.41592653589793, rel_tol=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "R0, r, VT",
+    # the bound itself overflows; the bound is finite but twice it is not
+    [(1e200, 1e-200, 1.0), (1e308, 1.0, 1.0), (1e300, 1.5e-8, 1.0)],
+)
+def test_bound_past_the_float_range_is_refused(R0, r, VT):
+    with pytest.raises(InvalidParam, match="float range"):
+        universal_lower_bound(make(R0=R0, r=r, VT=VT))
 
 
 params_st = st.builds(

@@ -340,6 +340,9 @@ class TestExitCodes:
             "totals --protocol circular-same --Vs 1e17",
             "sweep-count --protocol circular-same --Vs 1e17",
             "schedule --protocol circular-same --Vs 1e17",
+            # pi*R0*VT/(n*r) overflows: no critical speed is a number
+            "critical-speeds --R0 1e200 --r 1e-200 --n 2",
+            "totals --R0 1e200 --r 1e-200 --speed-mode delta-own --dV 1",
         ],
     )
     def test_invalid_scenario_is_config_error(self, capsys, argv):

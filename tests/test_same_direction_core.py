@@ -10,6 +10,7 @@ same domain errors at the same inputs.
 
 import math
 import random
+import time
 
 import pytest
 
@@ -179,3 +180,18 @@ def test_spiral_asymptote_bisection_ends_where_the_full_depth_does():
         p = params
         want = oracles.spiral_same_asymptote(p.R0, p.r, p.VT, p.n, Vs, lo=p.R0)
         assert same_direction._spiral_same_asymptote(params, Vs) == want
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_a_stalled_run_fails_at_once(kind):
+    # eps is below the rounding of R near the asymptote: a sweep leaves R
+    # unchanged short of the target, and so would every later one, which
+    # listed ten million sweeps before the cap ended the run
+    params = make(eps=1e-14)
+    Vs = critical(params, kind) + 20.0
+    assert reference(params, Vs, kind, max_steps=100_000) == "MaxIterations"
+    for fn in (same_direction.expansion_schedule_same, same_direction.totals_same):
+        start = time.perf_counter()
+        with pytest.raises(MaxIterations, match=f"schedule exceeded {same_direction._ITERATION_CAP} sweeps"):
+            fn(params, Vs, kind)
+        assert time.perf_counter() - start < 1.0
