@@ -36,6 +36,14 @@ def check_speed(Vs: float, Vc: float, protocol: str) -> None:
         raise SubcriticalSpeed(f"Vs={Vs} is below the {protocol} critical speed {Vc}")
 
 
+def expansion_target(params: ScenarioParams, R_asym: float) -> float:
+    """R_max, eps short of the asymptote R_asym; NoExpansion unless above R0."""
+    R_target = R_asym - params.eps
+    if R_target <= params.R0:
+        raise NoExpansion(f"eps={params.eps} leaves no expansion target above R0={params.R0}")
+    return R_target
+
+
 def check_finite(radius: float, Vs: float) -> float:
     """radius, unless it overflowed: a row cannot hold it, and every
     count or time measured from it is nonsense."""
@@ -94,17 +102,12 @@ class AffineRecursion:
         return RecursionCoeffs(c1=c1, c2=self._c2(), c3=self.a * c1)
 
     def target(self) -> float:
-        """R_max, eps short of the asymptote; NoExpansion unless above R0."""
-        R_target = self.asymptote - self.params.eps
-        if R_target <= self.params.R0:
-            raise NoExpansion(
-                f"eps={self.params.eps} leaves no expansion target above R0={self.params.R0}"
-            )
-        return R_target
+        return expansion_target(self.params, self.asymptote)
 
     def _steps(self, R_target: float) -> Iterator[Tuple]:
         """The cells of each sweep's ExpansionStep, in field order, until X
-        reaches the target."""
+        reaches the target. A sweep that leaves X unchanged short of the
+        target fails at once: every later sweep would repeat it."""
         a_num, a_den, b, shift = self.a_num, self.a_den, self.b, self.shift
         VT, Vs = self.params.VT, self.Vs
         closing = Vs + VT
@@ -114,9 +117,14 @@ class AffineRecursion:
             delta = b - VT * T
             delta_eff = delta * Vs / closing
             yield i, X - shift, X if shift else None, delta, delta_eff, T, delta_eff / Vs
-            X += delta_eff
-            if X >= X_target:
+            X_next = X + delta_eff
+            if X_next >= X_target:
                 return
+            if X_next == X:
+                raise MaxIterations(
+                    f"the radius stalls at R={X - shift} short of R_target={R_target}"
+                )
+            X = X_next
         raise MaxIterations(
             f"no convergence to R_target={R_target} within {ITERATION_CAP} sweeps"
         )

@@ -26,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, circular_pincer, memo, protocols, report, same_direction, spiral_pincer
+from . import __version__, memo, protocols, report
 from .bounds import universal_lower_bound
 from .errors import (
     ConfigError,
@@ -319,10 +319,7 @@ def cmd_critical_speeds(cfg: RunConfig) -> Table:
         table.append(
             n,
             universal_lower_bound(params),
-            circular_pincer.critical_speed(params),
-            spiral_pincer.critical_speed(params),
-            same_direction.circular_same_critical_speed(params),
-            same_direction.spiral_same_critical_speed(params),
+            *(critical_speed(params) for critical_speed in _CRITICAL.values()),
             "ok",
         )
     return table

@@ -16,11 +16,12 @@ from .scenario import ExpansionStep, ProtocolKind, ProtocolSummary, ScenarioPara
 
 _TWO_PI = 2.0 * math.pi
 
+# in the column order of the critical-speeds table
 CRITICAL: Dict[ProtocolKind, Callable[[ScenarioParams], float]] = {
-    ProtocolKind.CIRCULAR_PINCER: circular_pincer.critical_speed,
-    ProtocolKind.SPIRAL_PINCER: spiral_pincer.critical_speed,
-    ProtocolKind.CIRCULAR_SAME_DIRECTION: same_direction.circular_same_critical_speed,
-    ProtocolKind.SPIRAL_SAME_DIRECTION: same_direction.spiral_same_critical_speed,
+    ProtocolKind.CIRCULAR_PINCER: lambda p: circular_pincer.critical_speed(p),
+    ProtocolKind.SPIRAL_PINCER: lambda p: spiral_pincer.critical_speed(p),
+    ProtocolKind.CIRCULAR_SAME_DIRECTION: lambda p: same_direction.circular_same_critical_speed(p),
+    ProtocolKind.SPIRAL_SAME_DIRECTION: lambda p: same_direction.spiral_same_critical_speed(p),
 }
 
 _PINCERS = {

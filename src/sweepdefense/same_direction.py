@@ -38,9 +38,9 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from . import memo
 from .affine import ITERATION_CAP as _ITERATION_CAP
-from .affine import AffineRecursion, check_finite
+from .affine import AffineRecursion, check_finite, check_speed, expansion_target
 from .circular_pincer import critical_speed as _circular_pincer_speed
-from .errors import InvalidParam, MaxIterations, NoExpansion, SubcriticalSpeed
+from .errors import InvalidParam, MaxIterations, NoExpansion
 from .rootfind import RootProblem, solve_widening
 from .scenario import ExpansionStep, ProtocolKind, ProtocolSummary, ScenarioParams
 from .spiral_pincer import _contraction as _spiral_pincer_contraction
@@ -131,32 +131,20 @@ def _targets(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> Tuple[flo
     error that rules the expansion out."""
     if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
         Vc = circular_same_critical_speed(params)
-        if Vs < Vc:
-            raise SubcriticalSpeed(
-                f"Vs={Vs} is below the circular same-direction critical speed {Vc}"
-            )
+        check_speed(Vs, Vc, "circular same-direction")
         if Vs == Vc:
             raise NoExpansion("at the critical speed the region never grows")
         R_asym = check_finite(
             params.n * params.r * (Vs - params.VT) / (_TWO_PI * params.VT), Vs
         )
     elif kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
-        Vc = spiral_same_critical_speed(params)
-        if Vs < Vc:
-            raise SubcriticalSpeed(
-                f"Vs={Vs} is below the spiral same-direction critical speed {Vc}"
-            )
+        check_speed(Vs, spiral_same_critical_speed(params), "spiral same-direction")
         R_asym = _spiral_same_asymptote(params, Vs)
     else:
         raise InvalidParam(
             "kind", f"expected a same-direction protocol kind, got {kind}"
         )
-    R_target = R_asym - params.eps
-    if R_target <= params.R0:
-        raise NoExpansion(
-            f"eps={params.eps} leaves no expansion target above R0={params.R0}"
-        )
-    return R_asym, R_target
+    return R_asym, expansion_target(params, R_asym)
 
 
 def max_radius_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> float:

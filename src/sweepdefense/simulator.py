@@ -30,7 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,16 +155,32 @@ def _sweep_starts(
     return starts, dirs
 
 
+class _Planned(NamedTuple):
+    """One sweep of a run's plan, laid out before its phase is built."""
+
+    anchor: float             # sensor inner radius at sweep start
+    duration: float
+    max_rate: float           # peak angular speed, for the dt stability limit
+    advance: Optional[float]  # outward phase after the sweep, if there is one
+
+
+def _planned(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind,
+    anchor: float, duration: float, advance: Optional[float],
+) -> _Planned:
+    if protocols.is_spiral(kind):
+        # a spiral sensor turns fastest at the sweep's end, where it is innermost
+        lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
+        max_rate = lateral / (anchor + params.r - params.VT * duration)
+    else:
+        max_rate = Vs / anchor
+    return _Planned(anchor, duration, max_rate, advance)
+
+
 def _make_sweep(
-    params: ScenarioParams,
-    Vs: float,
-    kind: ProtocolKind,
-    index: int,
-    anchor: float,
-    duration: float,
-    span: float,
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, index: int, sweep: _Planned
 ) -> _SweepPhase:
-    VT = params.VT
+    VT, anchor = params.VT, sweep.anchor
     if protocols.is_spiral(kind):
         lateral = math.sqrt(Vs * Vs - VT * VT)
         Rt0 = anchor + params.r
@@ -173,95 +189,20 @@ def _make_sweep(
             return (lateral / VT) * np.log(Rt0 / (Rt0 - VT * t))
 
         inward = VT  # the spiral sensor moves in with the frontier
-        max_rate = lateral / (Rt0 - VT * duration)
     else:
-        omega = Vs / anchor
+        omega = sweep.max_rate  # a circular sensor turns at its one rate, Vs/anchor
 
         def progress(t):
             return omega * t
 
         inward = 0.0
-        max_rate = omega
 
     def inner(t):
         return anchor - inward * t
 
+    span = protocols.sweep_span(params, Vs, kind, anchor)
     starts, dirs = _sweep_starts(params, kind, index, span)
-    return _SweepPhase(
-        index=index,
-        duration=duration,
-        span=span,
-        max_rate=max_rate,
-        progress=progress,
-        inner=inner,
-        starts=starts,
-        dirs=dirs,
-    )
-
-
-def _defense_plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig):
-    """Hold-the-line phases: every cycle sweeps anchored at R0.
-
-    Circular sensors stay put between sweeps. Spiral sensors end each
-    sweep a full sensor length below the frontier and climb back during a
-    gap-closing advance of 2r/(Vs+VT) before re-anchoring. The cycles'
-    ticks are counted against the budget before their phases are built.
-    """
-    span = protocols.sweep_span(params, Vs, kind, params.R0)
-    if protocols.is_spiral(kind):
-        lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
-        lam = spiral_pincer.checked_contraction(math.exp(-span * params.VT / lateral), Vs)
-        duration = (params.R0 + params.r) * (1.0 - lam) / params.VT
-        advance = 2.0 * params.r / (Vs + params.VT)
-    else:
-        duration = span * params.R0 / Vs
-        advance = 0.0
-    first = _make_sweep(params, Vs, kind, 0, params.R0, duration, span)
-    _checked_dt(params, Vs, grid, "defense", [first], grid.cycles)
-    phases: List = []
-    for c in range(grid.cycles):
-        phases.append(_make_sweep(params, Vs, kind, c, params.R0, duration, span) if c else first)
-        if advance > 0.0:
-            phases.append(_AdvancePhase(advance))
-    return phases, params.R0 + 2.0 * params.r
-
-
-def _expansion_plan(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, max_sweeps: Optional[int]
-):
-    """Open-loop phases from the analytic schedule.
-
-    Sweep i is anchored at the schedule's R_i. Spiral sensor poses jump
-    outward between an advance and the next sweep: the schedule counts
-    only the effective outward time delta_eff/Vs, re-anchoring the sensor
-    on the frontier where the next sweep's bookkeeping starts.
-    """
-    steps, summary = protocols.expansion(params, Vs, kind)
-    truncated = max_sweeps is not None and max_sweeps < len(steps)
-    if truncated:
-        steps = steps[:max_sweeps]
-    phases: List = []
-    for s in steps:
-        span = protocols.sweep_span(params, Vs, kind, s.R_i)
-        phases.append(
-            _make_sweep(params, Vs, kind, s.index, s.R_i, s.T_sweep_i, span)
-        )
-        last = s.index == steps[-1].index
-        if last and not truncated:
-            phases.append(_AdvancePhase(summary.T_out_last))
-        else:
-            phases.append(_AdvancePhase(s.T_out_i))
-    return phases, summary.R_asym
-
-
-def _resolve_mode(params: ScenarioParams, Vs: float, kind: ProtocolKind, mode: str):
-    if mode == "defense":
-        return "defense"
-    if mode == "expansion":
-        return "expansion"
-    if Vs <= protocols.CRITICAL[kind](params):
-        return "defense"
-    return "expansion"
+    return _SweepPhase(index, sweep.duration, span, sweep.max_rate, progress, inner, starts, dirs)
 
 
 def _check_config(grid: SimConfig) -> None:
@@ -278,15 +219,60 @@ def _check_config(grid: SimConfig) -> None:
 
 
 def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig):
-    """Resolve the drive mode and lay out its phases: (mode, phases, R_ref)."""
-    mode = _resolve_mode(params, Vs, kind, grid.mode)
+    """Resolve the drive mode and lay out its phases: (mode, phases, R_ref).
+
+    Mode auto picks defense at or below the critical speed, or when eps
+    leaves no room to expand. The run is first laid out as planned sweeps
+    played `repeats` times over; _checked_dt counts their ticks against the
+    budget, and only then is any phase built.
+
+    An expansion plays the analytic schedule once, open loop, cut to
+    max_sweeps; the last advance stops at the target unless the schedule
+    was cut. Spiral sensor poses jump outward between an advance and the
+    next sweep: the schedule counts only the effective outward time
+    delta_eff/Vs, re-anchoring the sensor on the frontier where the next
+    sweep's bookkeeping starts. A defense plays one sweep anchored at R0
+    `cycles` times, so a --cycles far past the budget is refused without
+    a list that long. Circular sensors stay put between sweeps; spiral
+    sensors end each a full sensor length below the frontier and climb
+    back during a gap-closing advance of 2r/(Vs+VT).
+    """
+    mode = grid.mode
+    if mode == "auto":
+        mode = "defense" if Vs <= protocols.CRITICAL[kind](params) else "expansion"
     if mode == "expansion":
         try:
-            return (mode,) + _expansion_plan(params, Vs, kind, grid.max_sweeps)
+            steps, summary = protocols.expansion(params, Vs, kind)
         except NoExpansion:
             if grid.mode == "expansion":
                 raise
-    return ("defense",) + _defense_plan(params, Vs, kind, grid)
+            mode = "defense"
+        else:
+            played = steps[: grid.max_sweeps]
+            if len(played) == len(steps):
+                played[-1] = played[-1]._replace(T_out_i=summary.T_out_last)
+            sweeps = [_planned(params, Vs, kind, s.R_i, s.T_sweep_i, s.T_out_i) for s in played]
+            repeats, R_ref = 1, summary.R_asym
+    if mode == "defense":
+        span = protocols.sweep_span(params, Vs, kind, params.R0)
+        if protocols.is_spiral(kind):
+            lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
+            lam = spiral_pincer.checked_contraction(math.exp(-span * params.VT / lateral), Vs)
+            duration = (params.R0 + params.r) * (1.0 - lam) / params.VT
+            advance: Optional[float] = 2.0 * params.r / (Vs + params.VT)
+        else:
+            duration = span * params.R0 / Vs
+            advance = None
+        sweeps = [_planned(params, Vs, kind, params.R0, duration, advance)]
+        repeats, R_ref = grid.cycles, params.R0 + 2.0 * params.r
+    _checked_dt(params, Vs, grid, mode, sweeps, repeats)
+    phases: List = []
+    # schedule steps are numbered from 0, so a sweep's index is its place
+    for index, sweep in enumerate(sweeps * repeats):
+        phases.append(_make_sweep(params, Vs, kind, index, sweep))
+        if sweep.advance is not None:
+            phases.append(_AdvancePhase(sweep.advance))
+    return mode, phases, R_ref
 
 
 def _ticks(duration: float, dt: float) -> Tuple[int, float]:
@@ -318,7 +304,7 @@ def _checked_dt(
     Vs: float,
     grid: SimConfig,
     mode: str,
-    sweeps: Sequence[_SweepPhase],
+    sweeps: Sequence,
     repeats: int = 1,
 ) -> float:
     """The run's dt, once the sweeps, played `repeats` times over, are
@@ -571,7 +557,7 @@ def run(
     Mode "auto" picks defense when Vs is at or below the protocol's
     critical speed (or when eps leaves no room to expand) and expansion
     otherwise. A run that would step more than MAX_TICKS ticks raises
-    MaxIterations before any phase runs.
+    MaxIterations before any phase is built.
     """
     params = validate(params)
     if Vs <= params.VT:

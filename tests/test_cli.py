@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sweepdefense import circular_pincer, cli, report, same_direction, simulator, spiral_pincer
+from sweepdefense import affine, circular_pincer, cli, report, same_direction, simulator, spiral_pincer
 from sweepdefense.cli import RunConfig, SpeedMode, build_config, load_config_file, main
 from sweepdefense.errors import ConfigError, RootNotFound
 from sweepdefense.report import Table
@@ -386,6 +386,29 @@ class TestExitCodes:
         assert main(["simulate", "--protocol", "circular-pincer", *argv.split()]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 20 and all(row.endswith(",0,ok") for row in rows)
+
+    def test_simulate_past_the_tick_budget_builds_no_phase(self, capsys, monkeypatch):
+        # about 50 000 schedule steps: the plan is refused before any
+        # sweep phase, with its numpy starts and directions, is built
+        built = []
+        sweep_starts = simulator._sweep_starts
+        monkeypatch.setattr(
+            simulator, "_sweep_starts", lambda *args: built.append(args) or sweep_starts(*args)
+        )
+        argv = "--Vs 1e4 --bins 360 --mode expansion"
+        assert main(["simulate", "--protocol", "circular-pincer", *argv.split()]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure")
+        assert built == []
+
+    @pytest.mark.parametrize("protocol", ["circular-pincer", "spiral-pincer"])
+    def test_schedule_past_a_stalled_radius_fails_at_once(self, capsys, monkeypatch, protocol):
+        # eps lies below the rounding of the asymptote: the radius stops
+        # moving short of its target, and no later sweep could move it
+        monkeypatch.setattr(affine, "ITERATION_CAP", 100_000)
+        assert main(["schedule", "--protocol", protocol, "--eps", "1e-14", "--Vs", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: the radius stalls at R=")
+        assert "short of R_target=" in captured.err and captured.out == ""
 
     def test_large_team_spiral_speed_is_found(self, capsys):
         # n*r = 64*R0: ten times the circular critical speed is below VT
