@@ -27,6 +27,12 @@ from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioP
 # to an integer is one rounding error away from an off-by-one.
 INTEGER_GUARD = 1e-9
 
+# Ulps of the fixed point within which the last sweeps' advance (1-c2)*eps
+# has the count iterated too: that close, each step's rounding is as large
+# as the step, so the recursion can end sweeps away from the closed form or
+# stall short of its target.
+FLOOR_GUARD = 1024.0
+
 # Most sweeps any schedule is iterated for.
 ITERATION_CAP = 10_000_000
 
@@ -129,17 +135,26 @@ class AffineRecursion:
             f"no convergence to R_target={R_target} within {ITERATION_CAP} sweeps"
         )
 
-    def _count(self, R_target: float) -> int:
-        """Closed-form ceiling of the geometric recursion, except within
-        INTEGER_GUARD of an integer, where the recursion is iterated."""
-        R0 = self.params.R0
+    def closed_count(self) -> float:
+        """The real sweep count of the closed form; the count is its ceiling."""
         c2 = self._c2()  # before the logs: refuses a contraction that rounds to 1
-        x = math.log(self.params.eps / (self.asymptote - R0)) / math.log(c2)
-        if abs(x - round(x)) > INTEGER_GUARD:
-            return max(1, math.ceil(x))
-        if round(x) > ITERATION_CAP:
-            # the count is round(x) or one more; both exceed the cap
-            raise MaxIterations(f"about {x:.6g} sweeps, more than {ITERATION_CAP}")
+        return math.log(self.params.eps / (self.asymptote - self.params.R0)) / math.log(c2)
+
+    def _count(self, R_target: float) -> int:
+        """Closed-form ceiling of the geometric recursion, except where
+        rounding can move the count: within INTEGER_GUARD of an integer, or
+        up to ITERATION_CAP sweeps whose last advance is within FLOOR_GUARD
+        ulps of the fixed point. There the recursion is iterated."""
+        x = self.closed_count()
+        N = max(1, math.ceil(x))
+        if abs(x - round(x)) <= INTEGER_GUARD:
+            if round(x) > ITERATION_CAP:
+                # the count is round(x) or one more; both exceed the cap
+                raise MaxIterations(f"about {x:.6g} sweeps, more than {ITERATION_CAP}")
+        elif N > ITERATION_CAP or (
+            (1.0 - self._c2()) * self.params.eps > FLOOR_GUARD * math.ulp(self.fixed_point)
+        ):
+            return N
         return sum(1 for _ in self._steps(R_target))
 
     def sweep_count(self) -> int:

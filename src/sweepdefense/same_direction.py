@@ -156,7 +156,7 @@ def max_radius_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> fl
     return _targets(params, Vs, kind)[0]
 
 
-def _check_circular_count(params: ScenarioParams, Vs: float, R_target: float) -> None:
+def _check_circular_count(params: ScenarioParams, Vs: float) -> None:
     """MaxIterations at once when the circular loop would run past the cap.
 
     The circular sweep time (2*pi*R/n + r)/Vs leaves the budget
@@ -170,9 +170,11 @@ def _check_circular_count(params: ScenarioParams, Vs: float, R_target: float) ->
         params, Vs, a_num=_TWO_PI, a_den=params.n * Vs,
         b=params.r * (Vs - params.VT) / Vs, shift=0.0,
     )
-    N = ring._count(R_target)
-    if N > _ITERATION_CAP + 1:
-        raise MaxIterations(f"the expansion needs about {N} sweeps, more than {_ITERATION_CAP}")
+    x = ring.closed_count()
+    if x > _ITERATION_CAP + 1:
+        raise MaxIterations(
+            f"the expansion needs about {math.ceil(x)} sweeps, more than {_ITERATION_CAP}"
+        )
 
 
 def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Sequence[float]):
@@ -264,7 +266,7 @@ def _summaries(
             continue
         if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
             try:
-                _check_circular_count(replace(params, eps=eps), Vs, R_target)
+                _check_circular_count(replace(params, eps=eps), Vs)
             except MaxIterations as exc:
                 out[eps] = str(exc)
                 continue
@@ -311,7 +313,7 @@ def expansion_schedule_same(
     """
     R_asym, R_target = _targets(params, Vs, kind)
     if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
-        _check_circular_count(params, Vs, R_target)
+        _check_circular_count(params, Vs)
     T_list, eff_list, ends = _iterate(params, Vs, kind, (R_target,))
     if not ends:
         raise MaxIterations(_cap_message())

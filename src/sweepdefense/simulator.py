@@ -30,7 +30,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,16 +125,10 @@ class _SweepPhase:
     index: int
     duration: float
     span: float      # angular sector each defender covers this sweep
-    max_rate: float  # peak angular speed, for the dt stability limit
     progress: Callable[[np.ndarray], np.ndarray]  # angular progress s(t), s(0) = 0
     inner: Callable[[np.ndarray], np.ndarray]     # sensor inner radius at phase time t
     starts: np.ndarray
     dirs: np.ndarray
-
-
-@dataclass(frozen=True)
-class _AdvancePhase:
-    duration: float
 
 
 def _sweep_starts(
@@ -202,7 +197,7 @@ def _make_sweep(
 
     span = protocols.sweep_span(params, Vs, kind, anchor)
     starts, dirs = _sweep_starts(params, kind, index, span)
-    return _SweepPhase(index, sweep.duration, span, sweep.max_rate, progress, inner, starts, dirs)
+    return _SweepPhase(index, sweep.duration, span, progress, inner, starts, dirs)
 
 
 def _check_config(grid: SimConfig) -> None:
@@ -219,12 +214,12 @@ def _check_config(grid: SimConfig) -> None:
 
 
 def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig):
-    """Resolve the drive mode and lay out its phases: (mode, phases, R_ref).
+    """Resolve the drive mode and lay out its sweeps, played `repeats`
+    times over: (mode, sweeps, repeats, R_ref, dt).
 
     Mode auto picks defense at or below the critical speed, or when eps
-    leaves no room to expand. The run is first laid out as planned sweeps
-    played `repeats` times over; _checked_dt counts their ticks against the
-    budget, and only then is any phase built.
+    leaves no room to expand. _checked_dt counts the ticks against the
+    budget and gives dt; _phases builds each phase when the run reaches it.
 
     An expansion plays the analytic schedule once, open loop, cut to
     max_sweeps; the last advance stops at the target unless the schedule
@@ -265,14 +260,18 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
             advance = None
         sweeps = [_planned(params, Vs, kind, params.R0, duration, advance)]
         repeats, R_ref = grid.cycles, params.R0 + 2.0 * params.r
-    _checked_dt(params, Vs, grid, mode, sweeps, repeats)
-    phases: List = []
+    dt = _checked_dt(params, Vs, grid, mode, sweeps, repeats)
+    return mode, sweeps, repeats, R_ref, dt
+
+
+def _phases(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, sweeps: Sequence[_Planned], repeats: int
+) -> Iterator[Tuple[_SweepPhase, Optional[float]]]:
+    """Each sweep phase of the run, built only when it is reached, with
+    the advance that follows it (None when there is none)."""
     # schedule steps are numbered from 0, so a sweep's index is its place
-    for index, sweep in enumerate(sweeps * repeats):
-        phases.append(_make_sweep(params, Vs, kind, index, sweep))
-        if sweep.advance is not None:
-            phases.append(_AdvancePhase(sweep.advance))
-    return mode, phases, R_ref
+    for index, sweep in enumerate(chain.from_iterable(repeat(sweeps, repeats))):
+        yield _make_sweep(params, Vs, kind, index, sweep), sweep.advance
 
 
 def _ticks(duration: float, dt: float) -> Tuple[int, float]:
@@ -300,12 +299,8 @@ def _tick_lengths(duration: float, dt: Optional[float]) -> np.ndarray:
 
 
 def _checked_dt(
-    params: ScenarioParams,
-    Vs: float,
-    grid: SimConfig,
-    mode: str,
-    sweeps: Sequence,
-    repeats: int = 1,
+    params: ScenarioParams, Vs: float, grid: SimConfig, mode: str,
+    sweeps: Sequence[_Planned], repeats: int,
 ) -> float:
     """The run's dt, once the sweeps, played `repeats` times over, are
     known to fit the tick budget.
@@ -563,8 +558,7 @@ def run(
     if Vs <= params.VT:
         raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={params.VT}")
     _check_config(grid)
-    mode, phases, R_ref = _plan(params, Vs, kind, grid)
-    dt = _checked_dt(params, Vs, grid, mode, [p for p in phases if isinstance(p, _SweepPhase)])
+    mode, planned, repeats, R_ref, dt = _plan(params, Vs, kind, grid)
 
     M = grid.bins
     binwidth = _TWO_PI / M
@@ -578,13 +572,7 @@ def run(
     min_margin = math.inf
     ticks = crossings = 0
 
-    for phase in phases:
-        if isinstance(phase, _AdvancePhase):
-            # no detection while moving outward; one exact decay step
-            front.begin(phase.duration, None)
-            front.settle()
-            continue
-
+    for phase, advance in _phases(params, Vs, kind, planned, repeats):
         h = front.begin(phase.duration, dt)
         d, j, x, k, rho, inner = _sweep(front, phase, h, centers, 2.0 * params.r)
         ticks += len(h)
@@ -608,6 +596,10 @@ def run(
         )
         if profiles is not None:
             profiles.append(rho_end)
+        if advance is not None:
+            # no detection while moving outward; one exact decay step
+            front.begin(advance, None)
+            front.settle()
 
     return SimReport(
         kind=kind,

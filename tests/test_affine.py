@@ -110,3 +110,33 @@ def test_fixed_point_past_the_float_range_is_an_invalid_speed(fn):
     params = make(R0=1e155, r=1e154, n=2)
     with pytest.raises(InvalidParam, match="float range"):
         fn(params, 1e155)
+
+
+# eps from 1e-8 down past the rounding of the asymptote, where the last
+# sweeps' advance shrinks to a few ulps and then the radius stalls
+SCAN_EPS = [1e-8 * 1.4e-9 ** (i / 59) for i in range(0, 60, 4)]
+
+
+@pytest.mark.parametrize("mod", PINCERS, ids=by_name)
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("Vs", [40.0, 400.0, 4000.0])
+def test_count_totals_and_schedule_agree_down_to_the_floor(mod, n, Vs, monkeypatch):
+    monkeypatch.setattr(affine, "ITERATION_CAP", 200_000)
+
+    def outcome(fn):
+        try:
+            return fn()
+        except MaxIterations as exc:
+            return str(exc)
+
+    for eps in SCAN_EPS:
+        params = make(n=n, eps=eps)
+        count = outcome(lambda: mod.sweep_count(params, Vs))
+        total = outcome(lambda: mod.totals(params, Vs).N_n)
+        listed = outcome(lambda: len(mod.expansion_schedule(params, Vs)))
+        if isinstance(count, int) and count > affine.ITERATION_CAP:
+            # past the cap the closed form answers and the schedule refuses at once
+            want = f"schedule needs {count} sweeps, more than {affine.ITERATION_CAP}"
+            assert (total, listed) == (count, want), f"eps={eps}"
+        else:
+            assert count == total == listed, f"eps={eps}"

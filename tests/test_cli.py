@@ -410,6 +410,16 @@ class TestExitCodes:
         assert captured.err.startswith("numerical failure: the radius stalls at R=")
         assert "short of R_target=" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, protocol", [("totals", "circular-pincer"), ("sweep-count", "spiral-pincer")]
+    )
+    def test_counts_past_a_stalled_radius_fail_at_once(self, capsys, command, protocol):
+        # the closed form alone would answer ok with a count the sweeps never reach
+        assert main([command, "--protocol", protocol, "--eps", "1e-14", "--Vs", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: the radius stalls at R=")
+        assert captured.out == ""
+
     def test_large_team_spiral_speed_is_found(self, capsys):
         # n*r = 64*R0: ten times the circular critical speed is below VT
         assert main(["critical-speeds", "--R0", "100", "--r", "50", "--n", "128"]) == 0

@@ -7,6 +7,7 @@ radii) and where they meet up to grid noise (circular margins).
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -180,6 +181,28 @@ class TestSpiralDefense:
         counted = [s.margin for s in rep.sweeps if s.index >= 1]
         assert len(counted) == 2
         assert counted[0] == pytest.approx(counted[1], abs=1e-9)
+
+
+def test_long_defense_holds_no_phase_per_cycle():
+    # each cycle's sweep phase is built when the run reaches it, so a
+    # long defense keeps its per-sweep records and little else per cycle
+    p = make(n=128)
+
+    def peak(cycles):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            simulator.run(p, 2.0, CIRC, SimConfig(bins=360, mode="defense", cycles=cycles))
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    per_cycle = (peak(1200) - peak(200)) / 1000
+    assert per_cycle < 1000, f"peak grows by {per_cycle:.0f} B per defense cycle"
 
 
 class TestSameDirectionDefense:

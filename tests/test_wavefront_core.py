@@ -33,24 +33,29 @@ CRITICAL = {
 BASE = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 
 
+def planned_phases(params, Vs, kind, grid):
+    """The run's mode and every (sweep phase, advance or None) it steps."""
+    mode, sweeps, repeats, _, _ = simulator._plan(params, Vs, kind, grid)
+    return mode, list(simulator._phases(params, Vs, kind, sweeps, repeats))
+
+
 def oracle_phases(phases):
     out = []
-    for ph in phases:
-        if isinstance(ph, simulator._AdvancePhase):
-            out.append(oracles.OracleAdvance(ph.duration))
-        else:
-            out.append(
-                oracles.OracleSweep(
-                    ph.index, ph.duration, ph.span, ph.progress, ph.inner,
-                    ph.starts.tolist(), ph.dirs.tolist(),
-                )
+    for ph, advance in phases:
+        out.append(
+            oracles.OracleSweep(
+                ph.index, ph.duration, ph.span, ph.progress, ph.inner,
+                ph.starts.tolist(), ph.dirs.tolist(),
             )
+        )
+        if advance is not None:
+            out.append(oracles.OracleAdvance(advance))
     return out
 
 
 def assert_matches_oracle(params, Vs, kind, grid):
     rep = simulator.run(params, Vs, kind, grid)
-    mode, phases, _ = simulator._plan(params, Vs, kind, grid)
+    mode, phases = planned_phases(params, Vs, kind, grid)
     assert mode == rep.mode
     ref = oracles.wavefront_run(
         oracle_phases(phases), rep.bins, rep.dt, params.R0, params.r, params.VT,
@@ -116,8 +121,8 @@ def test_full_and_truncated_schedules_match_tick_loop(max_sweeps):
 def test_explicit_dt_with_remainder_tick_matches_tick_loop(kind):
     Vs = 0.9 * CRITICAL[kind](BASE)
     grid = SimConfig(bins=720, mode="defense", dt=0.0037, capture_profiles=True)
-    _, phases, _ = simulator._plan(BASE, Vs, kind, grid)
-    assert simulator._tick_lengths(phases[0].duration, grid.dt)[-1] < grid.dt
+    _, phases = planned_phases(BASE, Vs, kind, grid)
+    assert simulator._tick_lengths(phases[0][0].duration, grid.dt)[-1] < grid.dt
     rep = assert_matches_oracle(BASE, Vs, kind, grid)
     assert len(rep.breaches)
 
@@ -232,12 +237,10 @@ def test_run_counts_its_work():
     kind = ProtocolKind.SPIRAL_SAME_DIRECTION
     grid = SimConfig(bins=720, mode="defense", cycles=2)
     rep = simulator.run(params, 1.2, kind, grid)
-    _, phases, _ = simulator._plan(params, 1.2, kind, grid)
+    _, phases = planned_phases(params, 1.2, kind, grid)
     centers = (np.arange(grid.bins) + 0.5) * (2.0 * math.pi / grid.bins)
     ticks = crossings = passes = 0
-    for ph in phases:
-        if isinstance(ph, simulator._AdvancePhase):
-            continue
+    for ph, _ in phases:
         h = simulator._tick_lengths(ph.duration, rep.dt)
         t = np.cumsum(h)
         s = np.maximum.accumulate(np.append(ph.progress(t[:-1]), ph.span))
@@ -269,7 +272,7 @@ def test_breach_log_is_sorted_when_first_read(params, Vs, kind):
     rep = simulator.run(params, Vs, kind, grid)
     count = rep.breach_count
     assert "breaches" not in vars(rep)
-    _, phases, _ = simulator._plan(params, Vs, kind, grid)
+    _, phases = planned_phases(params, Vs, kind, grid)
     ref = oracles.wavefront_run(
         oracle_phases(phases), rep.bins, rep.dt, params.R0, params.r, params.VT,
         rep.grid_tolerance, snap=simulator._EDGE_SNAP,
