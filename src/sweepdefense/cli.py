@@ -251,21 +251,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _resolved_speeds(
-    cfg: RunConfig, kind: ProtocolKind, n: int, eps: float
-) -> List[Tuple[Optional[float], float]]:
-    """(dV, Vs) pairs for one grid point; dV is None in absolute mode."""
+def _resolved_speeds(cfg: RunConfig, kind: ProtocolKind, n: int, eps: float) -> Sequence[float]:
+    """The speeds of one grid point: Vs, or each dV above a critical speed."""
     if cfg.speed_mode is SpeedMode.ABSOLUTE:
         if not cfg.Vs:
             raise ConfigError("speed_mode=absolute needs a nonempty Vs list")
-        return [(None, v) for v in cfg.Vs]
+        return cfg.Vs
     if not cfg.dV:
         raise ConfigError(f"speed_mode={cfg.speed_mode.value} needs a nonempty dV list")
     if cfg.speed_mode is SpeedMode.DELTA_OWN:
         base = _CRITICAL[kind](cfg.scenario(n, eps))
     else:
         base = _CRITICAL[cfg.ref_protocol](cfg.scenario(cfg.ref_n, eps))
-    return [(d, base + d) for d in cfg.dV]
+    return [base + d for d in cfg.dV]
 
 
 def _grid(cfg: RunConfig):
@@ -280,8 +278,8 @@ def _grid(cfg: RunConfig):
     for kind in cfg.protocol:
         for n in cfg.n:
             for eps in cfg.eps:
-                for dV, Vs in _resolved_speeds(cfg, kind, n, eps):
-                    yield kind, n, eps, dV, Vs
+                for Vs in _resolved_speeds(cfg, kind, n, eps):
+                    yield kind, n, eps, Vs
 
 
 def _table(
@@ -297,7 +295,7 @@ def _table(
     table = Table(["protocol", "n", "eps", "Vs", *columns, "status"])
     rows = table.rows
     blanks = [None] * len(columns)
-    for kind, n, eps, _, Vs in _grid(cfg):
+    for kind, n, eps, Vs in _grid(cfg):
         params = cfg.scenario(n, eps)
         try:
             if prepare is not None:
@@ -389,7 +387,12 @@ _sweep_cells = attrgetter(*_SWEEP_COLUMNS)
 def _simulate_rows(cfg, kind, params, Vs):
     # imported here, not at the top: numpy is the simulator's alone, and
     # the analytic commands start several times faster without it
-    from . import simulator
+    try:
+        from . import simulator
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ConfigError("simulate needs numpy, which this Python cannot import") from exc
 
     grid = simulator.SimConfig(
         bins=cfg.bins, dt=cfg.dt, mode=cfg.mode, cycles=cfg.cycles, max_sweeps=cfg.max_sweeps

@@ -1,11 +1,11 @@
 """Which functions answer for each protocol kind.
 
 The CLI and the simulator ask this module for a kind's critical speed,
-asymptote, totals, schedule (alone, or with its summary), sweep span at
-a radius, and whether it is a pincer or a spiral. The pincer kinds are
-answered by their own modules, the same-direction kinds by
-`same_direction`; each call looks the function up on its module when it
-is made.
+asymptote, totals, schedule (alone, or with its summary), sweep sector
+and duration from a radius, and whether it is a pincer or a spiral. The
+pincer kinds are answered by their own modules, the same-direction kinds
+by `same_direction`; each call looks the function up on its module when
+it is made.
 """
 
 import math
@@ -71,11 +71,17 @@ def expansion(
     return pincer.expansion_schedule(params, Vs), pincer.totals(params, Vs)
 
 
-def sweep_span(params: ScenarioParams, Vs: float, kind: ProtocolKind, R: float) -> float:
-    """Angular sector one defender covers in a sweep starting at radius R."""
-    span = _TWO_PI / params.n
+def sweep(params: ScenarioParams, Vs: float, kind: ProtocolKind, R: float) -> Tuple[float, float]:
+    """The sector one defender covers in a sweep from radius R, and the
+    sweep's duration in the float expression of the kind's schedule: a
+    sweep from R0 lasts exactly as long as the schedule's first."""
+    n, r, VT = params.n, params.r, params.VT
+    span = _TWO_PI / n
+    if kind is ProtocolKind.CIRCULAR_PINCER:
+        return span, R * _TWO_PI / (n * Vs)
+    if kind is ProtocolKind.SPIRAL_PINCER:
+        return span, (R + r) * (1.0 - spiral_pincer._contraction(params, Vs)) / VT
     if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
-        return span + params.r / R
-    if kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
-        return span + same_direction.guard_angle(params, Vs, R)
-    return span
+        return span + r / R, (_TWO_PI * R / n + r) / Vs
+    lam = same_direction._spiral_same_lam(params, Vs, R)
+    return span + same_direction.guard_angle(params, Vs, R), (R + r) * (1.0 - lam) / VT

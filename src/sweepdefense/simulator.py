@@ -35,7 +35,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from . import protocols, spiral_pincer
+from . import protocols
 from .errors import ConfigError, MaxIterations, NoExpansion, SpeedTooLow
 from .scenario import ProtocolKind, ScenarioParams, validate
 
@@ -165,8 +165,12 @@ def _planned(
 ) -> _Planned:
     if protocols.is_spiral(kind):
         # a spiral sensor turns fastest at the sweep's end, where it is innermost
+        innermost = anchor + params.r - params.VT * duration
+        if innermost <= 0.0:  # 1 - lam rounds to 1 once lam is below about 2**-53
+            raise MaxIterations(f"at Vs={Vs} the spiral sensor reaches the centre within one "
+                                f"sweep, past any run of {MAX_TICKS} ticks: raise --Vs")
         lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
-        max_rate = lateral / (anchor + params.r - params.VT * duration)
+        max_rate = lateral / innermost
     else:
         max_rate = Vs / anchor
     return _Planned(anchor, duration, max_rate, advance)
@@ -195,7 +199,7 @@ def _make_sweep(
     def inner(t):
         return anchor - inward * t
 
-    span = protocols.sweep_span(params, Vs, kind, anchor)
+    span = protocols.sweep(params, Vs, kind, anchor)[0]
     starts, dirs = _sweep_starts(params, kind, index, span)
     return _SweepPhase(index, sweep.duration, span, progress, inner, starts, dirs)
 
@@ -226,11 +230,11 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
     was cut. Spiral sensor poses jump outward between an advance and the
     next sweep: the schedule counts only the effective outward time
     delta_eff/Vs, re-anchoring the sensor on the frontier where the next
-    sweep's bookkeeping starts. A defense plays one sweep anchored at R0
-    `cycles` times, so a --cycles far past the budget is refused without
-    a list that long. Circular sensors stay put between sweeps; spiral
-    sensors end each a full sensor length below the frontier and climb
-    back during a gap-closing advance of 2r/(Vs+VT).
+    sweep's bookkeeping starts. A defense plays the schedule's first
+    sweep (protocols.sweep from R0) `cycles` times, without a list that
+    long. Circular sensors stay put between sweeps; spiral sensors end
+    each a full sensor length below the frontier and climb back during a
+    gap-closing advance of 2r/(Vs+VT).
     """
     mode = grid.mode
     if mode == "auto":
@@ -249,15 +253,8 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
             sweeps = [_planned(params, Vs, kind, s.R_i, s.T_sweep_i, s.T_out_i) for s in played]
             repeats, R_ref = 1, summary.R_asym
     if mode == "defense":
-        span = protocols.sweep_span(params, Vs, kind, params.R0)
-        if protocols.is_spiral(kind):
-            lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
-            lam = spiral_pincer.checked_contraction(math.exp(-span * params.VT / lateral), Vs)
-            duration = (params.R0 + params.r) * (1.0 - lam) / params.VT
-            advance: Optional[float] = 2.0 * params.r / (Vs + params.VT)
-        else:
-            duration = span * params.R0 / Vs
-            advance = None
+        duration = protocols.sweep(params, Vs, kind, params.R0)[1]
+        advance = 2.0 * params.r / (Vs + params.VT) if protocols.is_spiral(kind) else None
         sweeps = [_planned(params, Vs, kind, params.R0, duration, advance)]
         repeats, R_ref = grid.cycles, params.R0 + 2.0 * params.r
     dt = _checked_dt(params, Vs, grid, mode, sweeps, repeats)
@@ -323,8 +320,11 @@ def _checked_dt(
             )
     counts = [n_full + (rest > 0.0) for n_full, rest in (_ticks(p.duration, dt) for p in sweeps)]
     ticks, longest = repeats * sum(counts), max(counts)
-    if ticks > MAX_TICKS or grid.bins * params.n * longest >= 2**63:
-        flag = "--cycles" if mode == "defense" else "--max-sweeps"
+    # past the limits in one sweep, no --cycles or --max-sweeps can help
+    alone = longest > MAX_TICKS or grid.bins * params.n * longest >= 2**63
+    if alone or ticks > MAX_TICKS:
+        flag = ("--bins or change --Vs" if alone
+                else "--cycles" if mode == "defense" else "--max-sweeps")
         raise MaxIterations(
             f"{mode} run plans {ticks} ticks at dt={dt:.6g} ({longest} in its longest sweep, "
             f"{grid.bins} bins, n={params.n}); runs are limited to {MAX_TICKS} ticks and to "

@@ -371,6 +371,16 @@ class TestExitCodes:
             # 3289 sweeps, about 3.4e8 ticks: 22 s if it ran
             ("--Vs 1e3 --mode expansion", "--max-sweeps"),
             ("--Vs 40 --mode defense --cycles 1000000000", "--cycles"),
+            # 1 - lam rounds to 1: the spiral sensor would reach the centre
+            # within one sweep (a zero, then a negative, innermost radius)
+            ("--protocol spiral-same --Vs 1.0000001 --mode defense --bins 360", "--Vs"),
+            (
+                "--protocol spiral-same --Vs 0.3000687105634733 --VT 0.3 --R0 5 --r 0.5"
+                " --mode defense --bins 360",
+                "--Vs",
+            ),
+            # just above those speeds one sweep alone is past the budget
+            ("--protocol spiral-pincer --Vs 1.0036 --mode defense --bins 360", "--bins"),
         ],
     )
     def test_simulate_past_the_tick_budget_fails_at_once(self, capsys, argv, flag):

@@ -38,6 +38,17 @@ for name in names:
 print(json.dumps([names, "numpy" in sys.modules]))
 """
 
+# prints [exit code, stderr] of `simulate` where numpy cannot be imported
+RUN_SIMULATE_WITHOUT_NUMPY = """\
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # import numpy now raises ModuleNotFoundError
+from sweepdefense import cli
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    rc = cli.main(["simulate", "--config", "configs/simulate-circular.cfg"])
+print(json.dumps([rc, err.getvalue()]))
+"""
+
 ALL_PROTOCOLS = "circular-pincer,spiral-pincer,circular-same,spiral-same"
 
 ANALYTIC = {
@@ -76,6 +87,12 @@ def test_every_module_but_the_simulator_loads_no_numpy():
     names, numpy_loaded = fresh_python(IMPORT_ALL)
     assert {"affine", "cli", "protocols", "report", "simulator"} <= set(names)
     assert not numpy_loaded
+
+
+def test_simulate_without_numpy_fails_with_an_error_line():
+    rc, err = fresh_python(RUN_SIMULATE_WITHOUT_NUMPY)
+    assert rc == 1
+    assert err.startswith("error: simulate needs numpy") and "Traceback" not in err
 
 
 def numeric_cells_close(got, want):

@@ -6,6 +6,7 @@ places where the two routes must meet exactly (spiral margins, sweep-end
 radii) and where they meet up to grid noise (circular margins).
 """
 
+import itertools
 import math
 import tracemalloc
 from functools import lru_cache
@@ -13,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from sweepdefense import circular_pincer, same_direction, simulator, spiral_pincer
+from sweepdefense import circular_pincer, protocols, same_direction, simulator, spiral_pincer
 from sweepdefense.errors import ConfigError, NoExpansion, SpeedTooLow, SubcriticalSpeed
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
 from sweepdefense.simulator import SimConfig
@@ -203,6 +204,22 @@ def test_long_defense_holds_no_phase_per_cycle():
 
     per_cycle = (peak(1200) - peak(200)) / 1000
     assert per_cycle < 1000, f"peak grows by {per_cycle:.0f} B per defense cycle"
+
+
+def test_defense_sweep_is_the_schedules_first():
+    # a defense plays, to the bit, the sweep the analytic schedule prices first
+    defense = SimConfig(mode="defense")
+    off = []
+    for kind, n, r, R0, factor in itertools.product(
+        ProtocolKind, (2, 6, 10, 12, 30), (7.7, 33.0), (99.7, 123.4), (1.1, 10.0)
+    ):
+        params = make(R0=R0, r=r, n=n, eps=1.0)
+        Vs = factor * protocols.CRITICAL[kind](params)
+        duration = simulator._plan(params, Vs, kind, defense)[1][0].duration
+        first = protocols.schedule(params, Vs, kind)[0].T_sweep_i
+        if duration != first:
+            off.append((kind.value, n, r, R0, factor, duration, first))
+    assert off == []
 
 
 class TestSameDirectionDefense:
