@@ -288,23 +288,23 @@ def _table(
     """One table over the grid: protocol, n, eps, Vs, then columns, then status.
 
     rows_for(cfg, kind, params, Vs) gives the cells of each row for a grid
-    point. prepare, if given, first replaces params, and the eps column
-    shows the eps of the params in hand: the given one when prepare fails.
-    A domain failure becomes one row of blank cells named by its class.
+    point, as a sequence; the point's rows become one block of the table,
+    headed by its key and ended by the status "ok". prepare, if given,
+    first replaces params, and the eps column shows the eps of the params
+    in hand: the given one when prepare fails. A domain failure becomes
+    one row of blank cells named by its class.
     """
     table = Table(["protocol", "n", "eps", "Vs", *columns, "status"])
-    rows = table.rows
     blanks = [None] * len(columns)
+    ok = ("ok",)
     for kind, n, eps, Vs in _grid(cfg):
         params = cfg.scenario(n, eps)
         try:
             if prepare is not None:
                 params = prepare(cfg, kind, params, Vs)
-            key = [kind.value, n, params.eps, Vs]
-            for cells in rows_for(cfg, kind, params, Vs):
-                rows.append([*key, *cells, "ok"])
+            table.extend((kind.value, n, params.eps, Vs), rows_for(cfg, kind, params, Vs), ok)
         except _ROW_ERRORS as exc:
-            rows.append([kind.value, n, params.eps, Vs, *blanks, type(exc).__name__])
+            table.append(kind.value, n, params.eps, Vs, *blanks, type(exc).__name__)
     return table
 
 

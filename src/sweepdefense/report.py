@@ -1,21 +1,22 @@
 """Table emission and ingestion for the CLI.
 
-One table model, two byte-stable encodings. Floats are cut to 9
-significant digits in both: CSV through the format string, JSON by
-re-parsing the formatted value, so the two encodings carry identical
-numbers and repeated runs are byte-identical. Missing values (a blank
-cell in CSV, null in JSON) stand for fields a row legitimately lacks,
-like the spiral-only bookkeeping radius on circular rows.
+One table model, held in blocks of rows that share their first and last
+cells (a grid point's key and status), and two byte-stable encodings.
+Floats are cut to 9 significant digits in both: CSV through the format
+string, JSON by re-parsing the formatted value, so the two encodings
+carry identical numbers and repeated runs are byte-identical. Missing
+values (a blank cell in CSV, null in JSON) stand for fields a row
+legitimately lacks, like the spiral-only bookkeeping radius on circular
+rows.
 """
 
 import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError
 
@@ -24,17 +25,42 @@ FLOAT_FORMAT = "%.9g"
 Cell = Union[int, float, str, None]
 
 
-@dataclass
 class Table:
-    columns: List[str]
-    rows: List[List[Cell]] = field(default_factory=list)
+    """Columns, and rows kept as blocks (head, body, tail).
+
+    Each row of a block is (*head, *cells, *tail) for cells in body, so
+    the cells one grid point shares (its key and status) are held once
+    for all its rows. rows is derived: a new list of lists on each read.
+    """
+
+    def __init__(self, columns: Sequence[str], rows: Iterable[Sequence[Cell]] = ()):
+        self.columns = list(columns)
+        self.blocks: List[Tuple[Sequence[Cell], Sequence[Sequence[Cell]], Sequence[Cell]]] = []
+        self.extend((), list(rows), ())
 
     def append(self, *values: Cell) -> None:
         if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} cells, table has {len(self.columns)} columns"
-            )
-        self.rows.append(list(values))
+            raise ValueError(f"row has {len(values)} cells, table has {len(self.columns)} columns")
+        self.blocks.append(((), (values,), ()))
+
+    def extend(self, head: Sequence[Cell], body: Sequence[Sequence[Cell]], tail: Sequence[Cell]) -> None:
+        """Add one row per entry of body, each between head and tail.
+
+        body is kept as given, not copied; every entry must hold the cells
+        the columns leave between head and tail, or nothing is added.
+        """
+        width = len(self.columns) - len(head) - len(tail)
+        for cells in body:
+            if len(cells) != width:
+                raise ValueError(f"block row has {len(cells)} cells between head and tail, not {width}")
+        self.blocks.append((head, body, tail))
+
+    def __repr__(self) -> str:
+        return f"Table({self.columns!r}, blocks={self.blocks!r})"
+
+    @property
+    def rows(self) -> List[List[Cell]]:
+        return [[*head, *cells, *tail] for head, body, tail in self.blocks for cells in body]
 
 
 def _json_cell(value: Cell) -> Cell:
@@ -51,58 +77,67 @@ def _cell_format(cell_type: type) -> str:
     return "%.0s" if cell_type is type(None) else "%s"
 
 
-def _plain_line(line: str, cells: int) -> bool:
-    """Whether the csv module writes these joined cells as they are."""
-    return (
-        bool(line)
-        and line.count(",") == cells - 1
-        and '"' not in line
-        and "\r" not in line
-        and "\n" not in line
-    )
+class _Formats(dict):
+    """The % format of each tuple of cell types, built on first use."""
+
+    def __missing__(self, signature: Tuple[type, ...]) -> str:
+        fmt = self[signature] = ",".join(map(_cell_format, signature))
+        return fmt
 
 
 def render_csv(table: Table) -> str:
     """CSV text, one line per row, written as the csv module writes it.
 
-    Each row goes through one % format string, built once per tuple of
-    cell types and kept for the call: FLOAT_FORMAT for a float (and so
-    for np.float64), "%.0s" for None, "%s" for anything else. A line
-    that format may get wrong goes cell by cell instead: one holding
-    "nan" or "inf" (a non-finite float is a blank cell), a quote or a
-    line break, one with a comma count other than len(row) - 1 (a cell
-    holding a comma), or an empty line. There the cells are formatted
-    one at a time and joined, and only a line the csv module would write
-    differently (quoted, or a lone empty cell written as "") goes
-    through csv.writer.
+    Each block's lines come from one % format string of cell formats
+    (FLOAT_FORMAT for a float, so for np.float64 too, "%.0s" for None,
+    "%s" otherwise), built once per tuple of cell types. A one-row block
+    is formatted as one whole row. A longer one needs one type per body
+    column; its head and tail are formatted once, %-escaped and spliced
+    into the row format, and its lines are joined in one pass. A block
+    whose text that format may get wrong goes row by row, cell by cell,
+    through csv.writer: text holding "nan" or "inf" (a non-finite float
+    is blank), a quote or a carriage return, more line breaks or commas
+    than its shape makes (a cell holding one), or one column (where an
+    empty line must be written as "").
     """
     buf = io.StringIO()
     write = buf.write
     writer = csv.writer(buf, lineterminator="\n")
     isfinite = math.isfinite
-    formats = {}
-    for row in chain((table.columns,), table.rows):
-        row = tuple(row)
-        signature = tuple(map(type, row))
-        fmt = formats.get(signature)
-        if fmt is None:
-            fmt = formats[signature] = ",".join(map(_cell_format, signature))
-        line = fmt % row
-        if "nan" not in line and "inf" not in line and _plain_line(line, len(row)):
-            write(line)
+    width = len(table.columns)
+    formats = _Formats()
+    header = ((), (table.columns,), ())
+    for head, body, tail in chain((header,), table.blocks):
+        rows = len(body)
+        if rows == 1:
+            row = (*head, *body[0], *tail)
+            text = formats[tuple(map(type, row))] % row
+            one_line_each = "\n" not in text
+        else:
+            # a column of mixed types leaves the signature short
+            signature = tuple(t for column in zip(*body) for t in set(map(type, column)))
+            text = ""
+            if len(signature) == width - len(head) - len(tail):
+                fmt = formats[signature]
+                if head:
+                    fmt = (formats[tuple(map(type, head))] % tuple(head)).replace("%", "%%") + "," + fmt
+                if tail:
+                    fmt += "," + (formats[tuple(map(type, tail))] % tuple(tail)).replace("%", "%%")
+                text = "\n".join(map(fmt.__mod__, map(tuple, body)))
+            one_line_each = text.count("\n") == rows - 1
+        if (
+            one_line_each and text.count(",") == rows * (width - 1) and width > 1
+            and "nan" not in text and "inf" not in text and '"' not in text and "\r" not in text
+        ):
+            write(text)
             write("\n")
             continue
-        cells = [
-            (FLOAT_FORMAT % v if isfinite(v) else "") if isinstance(v, float)
-            else "" if v is None else str(v)
-            for v in row
-        ]
-        line = ",".join(cells)
-        if _plain_line(line, len(cells)):
-            write(line)
-            write("\n")
-        else:
-            writer.writerow(cells)
+        for row in body:
+            writer.writerow([
+                (FLOAT_FORMAT % v if isfinite(v) else "") if isinstance(v, float)
+                else "" if v is None else str(v)
+                for v in (*head, *row, *tail)
+            ])
     return buf.getvalue()
 
 

@@ -179,10 +179,20 @@ class TestTableModel:
         assert report.render_csv(t).splitlines()[1] == '""'
         assert json.loads(report.render_json(t))["rows"] == [[None]]
 
-    def test_row_arity_checked(self):
+    @pytest.mark.parametrize(
+        "add",
+        [
+            lambda t: t.append(1),
+            # a ragged block: its second row is one cell too wide
+            lambda t: t.extend(("k",), [(1,), (2, 3)], ()),
+        ],
+        ids=["append", "ragged-block"],
+    )
+    def test_row_arity_checked(self, add):
         t = Table(["a", "b"])
         with pytest.raises(ValueError):
-            t.append(1)
+            add(t)
+        assert t.rows == []
 
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -246,7 +256,11 @@ class TestCsvRenderer:
     def test_matches_the_csv_writer_reference(self, table):
         assert report.render_csv(table) == csv_render(table.columns, table.rows)
 
-    def test_schedule_table_matches_the_reference(self):
+    @pytest.mark.parametrize(
+        "command",
+        [cli.cmd_schedule, cli.cmd_max_radius, cli.cmd_sweep_count, cli.cmd_totals, cli.cmd_simulate],
+    )
+    def test_schedule_table_matches_the_reference(self, command):
         # pincer and same-direction kinds, circular rows (Rtilde_i blank)
         # and spiral rows, plus a subcritical row of blanks
         cfg = RunConfig(
@@ -255,13 +269,89 @@ class TestCsvRenderer:
             eps=(1e-4,),
             speed_mode=SpeedMode.DELTA_OWN,
             dV=(-0.5, 0.5, 2.0),
+            bins=360,
         )
-        table = cli.cmd_schedule(cfg)
-        tilde = table.columns.index("Rtilde_i")
-        assert len(table.rows) >= 1000
-        assert {type(row[tilde]) for row in table.rows} == {type(None), float}
-        assert {row[-1] for row in table.rows} == {"ok", "SubcriticalSpeed"}
+        table = command(cfg)
+        if command is cli.cmd_schedule:
+            tilde = table.columns.index("Rtilde_i")
+            assert len(table.rows) >= 1000
+            assert {type(row[tilde]) for row in table.rows} == {type(None), float}
+            assert {row[-1] for row in table.rows} == {"ok", "SubcriticalSpeed"}
         assert report.render_csv(table) == csv_render(table.columns, table.rows)
+
+
+# a block's key and status cells: any cell, and text that breaks a format
+# or a CSV line if spliced in unescaped
+_KEY_CELLS = _CELLS | st.sampled_from(["nan", "inf", "%s", "%%", ",", '"'])
+# one body column: one cell type throughout, or a type that changes in a
+# later row (a float format would write 1e9 as 1e+09 and fail on None)
+_BODY_COLUMNS = [
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
+    st.integers(),
+    st.none(),
+    st.booleans(),
+    _FIELD_TEXT,
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(allow_nan=False) | st.integers(min_value=10**9),
+    st.floats(allow_nan=False) | st.none(),
+    st.floats(allow_nan=False) | st.floats(allow_nan=False).map(np.float64),
+    _CELLS,
+]
+
+
+def _block_table(columns, *blocks):
+    table = Table(columns)
+    for head, body, tail in blocks:
+        table.extend(head, body, tail)
+    return table
+
+
+@st.composite
+def _block_tables(draw):
+    width = draw(st.integers(min_value=1, max_value=5))
+    columns = draw(st.lists(_FIELD_TEXT | st.text(max_size=5), min_size=width, max_size=width))
+    blocks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        cut = sorted(draw(st.lists(st.integers(min_value=0, max_value=width), min_size=2, max_size=2)))
+        head = tuple(draw(st.lists(_KEY_CELLS, min_size=cut[0], max_size=cut[0])))
+        tail = tuple(draw(st.lists(_KEY_CELLS, min_size=width - cut[1], max_size=width - cut[1])))
+        kinds = [draw(st.sampled_from(_BODY_COLUMNS)) for _ in range(cut[1] - cut[0])]
+        size = draw(st.sampled_from([0, 1, 1, 2, 3, 8]))
+        as_row = draw(st.sampled_from([tuple, list]))
+        body = [as_row(draw(kind) for kind in kinds) for _ in range(size)]
+        blocks.append((head, body, tail))
+    return _block_table(columns, *blocks)
+
+
+_TWO_ROWS = [(1.5, "x"), (2.5, "y")]
+
+
+class TestBlockTables:
+    @given(_block_tables())
+    @settings(max_examples=400, deadline=None)
+    # equal keys that format differently: -0.0 == 0.0 and True == 1 == 1.0
+    @example(_block_table(["k", "x", "t", "s"], ((0.0,), _TWO_ROWS, ("ok",)), ((-0.0,), _TWO_ROWS, ("ok",))))
+    @example(
+        _block_table(["k", "x", "t"], ((1,), _TWO_ROWS, ()), ((1.0,), _TWO_ROWS, ()), ((True,), _TWO_ROWS, ()))
+    )
+    # a column whose type changes in a later row
+    @example(_block_table(["k", "x"], (("a",), [(1.5,), (10**9,)], ()), (("b",), [(1.5,), (None,)], ())))
+    @example(_block_table(["x", "y"], ((), [(1.5, 2.5), (np.float64(0.1), 3.5)], ())))
+    # key text that is a format, or is what a non-finite float formats as
+    @example(_block_table(["k", "x", "t"], (("%s",), [[1.5], [2.5]], ("%%",)), (("nan",), [[1.5], [2.5]], ("inf",))))
+    def test_matches_the_flat_references(self, table):
+        rows = table.rows
+        assert report.render_csv(table) == csv_render(table.columns, rows)
+        assert _json_or_error(table) == _json_or_error(Table(table.columns, rows))
+
+
+def _json_or_error(table):
+    # JSON has no encoding for np.int64: both tables must fail alike
+    try:
+        return report.render_json(table)
+    except TypeError as exc:
+        return str(exc)
 
 
 class TestExpansionStep:
