@@ -251,24 +251,35 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _resolved_speeds(cfg: RunConfig, kind: ProtocolKind, n: int, eps: float) -> Sequence[float]:
-    """The speeds of one grid point: Vs, or each dV above a critical speed."""
+def _group(
+    cfg: RunConfig, kind: ProtocolKind, n: int, eps: float
+) -> Tuple[ScenarioParams, Sequence[float]]:
+    """The scenario of one (protocol, n, eps) group, built and validated
+    once, and the group's speeds: Vs, or each dV above a critical speed.
+
+    A missing speed list is reported first, then a failure of the critical
+    speed the offsets start from (and of the scenario it is solved for),
+    then an invalid scenario.
+    """
     if cfg.speed_mode is SpeedMode.ABSOLUTE:
         if not cfg.Vs:
             raise ConfigError("speed_mode=absolute needs a nonempty Vs list")
-        return cfg.Vs
+        return cfg.scenario(n, eps), cfg.Vs
     if not cfg.dV:
         raise ConfigError(f"speed_mode={cfg.speed_mode.value} needs a nonempty dV list")
     if cfg.speed_mode is SpeedMode.DELTA_OWN:
-        base = _CRITICAL[kind](cfg.scenario(n, eps))
+        params = cfg.scenario(n, eps)
+        base = _CRITICAL[kind](params)
     else:
         base = _CRITICAL[cfg.ref_protocol](cfg.scenario(cfg.ref_n, eps))
-    return [base + d for d in cfg.dV]
+        params = cfg.scenario(n, eps)
+    return params, [base + d for d in cfg.dV]
 
 
 def _grid(cfg: RunConfig):
     """Deterministic row order: protocol, then n, then eps, then speed;
-    refused before its first point when it holds over MAX_LIST_VALUES."""
+    refused before its first point when it holds over MAX_LIST_VALUES.
+    Yields each (protocol, n, eps) group as (kind, n, params, speeds)."""
     speed_key = "Vs" if cfg.speed_mode is SpeedMode.ABSOLUTE else "dV"
     size = len(cfg.protocol) * len(cfg.n) * len(cfg.eps) * len(getattr(cfg, speed_key))
     if size > MAX_LIST_VALUES:
@@ -278,8 +289,7 @@ def _grid(cfg: RunConfig):
     for kind in cfg.protocol:
         for n in cfg.n:
             for eps in cfg.eps:
-                for Vs in _resolved_speeds(cfg, kind, n, eps):
-                    yield kind, n, eps, Vs
+                yield (kind, n, *_group(cfg, kind, n, eps))
 
 
 def _table(
@@ -297,14 +307,15 @@ def _table(
     table = Table(["protocol", "n", "eps", "Vs", *columns, "status"])
     blanks = [None] * len(columns)
     ok = ("ok",)
-    for kind, n, eps, Vs in _grid(cfg):
-        params = cfg.scenario(n, eps)
-        try:
-            if prepare is not None:
-                params = prepare(cfg, kind, params, Vs)
-            table.extend((kind.value, n, params.eps, Vs), rows_for(cfg, kind, params, Vs), ok)
-        except _ROW_ERRORS as exc:
-            table.append(kind.value, n, params.eps, Vs, *blanks, type(exc).__name__)
+    for kind, n, scene, speeds in _grid(cfg):
+        for Vs in speeds:
+            params = scene
+            try:
+                if prepare is not None:
+                    params = prepare(cfg, kind, scene, Vs)
+                table.extend((kind.value, n, params.eps, Vs), rows_for(cfg, kind, params, Vs), ok)
+            except _ROW_ERRORS as exc:
+                table.append(kind.value, n, params.eps, Vs, *blanks, type(exc).__name__)
     return table
 
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import operator
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -142,11 +143,13 @@ def render_csv(table: Table) -> str:
 
 
 def render_json(table: Table) -> str:
+    """JSON text; an integer cell of a type json does not know, like
+    numpy's int64, is written as its int, as CSV writes its digits."""
     doc = {
         "columns": table.columns,
         "rows": [[_json_cell(v) for v in row] for row in table.rows],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=operator.index) + "\n"
 
 
 def render(table: Table, fmt: str) -> str:

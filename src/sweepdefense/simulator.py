@@ -21,6 +21,16 @@ radius; the clearance margin localizes the critical speed. Expansion runs
 play the analytic per-sweep schedule open loop and let the wavefront
 verify it: sweep-end radii must land where the schedule says.
 
+A run searches each distinct sweep shape once. The crossings of a sweep
+phase, and the tick lengths and decay levels of any phase, depend only on
+its geometry, its duration and dt, so a run keeps the search results of
+its two latest shapes and the tick arrays of its two latest (duration,
+dt) pairs, read-only, and plays a repeated one from them: a pincer
+defense's outbound and inbound sweeps, a spiral defense's sweep and
+advance. Same-direction sweeps and expansion sweeps never repeat, and
+two entries keep an expansion's memory from growing with its sweeps. The
+work counts (crossings, clearing passes) still count every phase.
+
 The first sweep is a warm-up artifact of starting the frontier exactly at
 R0 with the sensors still on their marks, so its margins and breaches are
 excluded from reporting; steady state begins with the second sweep.
@@ -29,9 +39,11 @@ excluded from reporting; steady state begins with the second sweep.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -52,6 +64,26 @@ _EDGE_SNAP = 1e-12
 # for a time the input sets: a circular-pincer expansion of 3.4e8 ticks
 # at 3600 bins took 22 s on a 2-vCPU machine.
 MAX_TICKS = 10**8
+
+# Sweep shapes, and tick arrays, a run keeps for reuse (see the module
+# docstring): two cover a pincer's outbound and inbound sweeps.
+_KEEP = 2
+
+
+def _recent(store: Dict[Hashable, tuple], key: Hashable, make: Callable[[], tuple]) -> tuple:
+    """store[key], made on a miss; the store holds the _KEEP latest made."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = make()
+        if len(store) > _KEEP:
+            del store[next(iter(store))]
+    return value
+
+
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -123,6 +155,7 @@ class SimReport:
 @dataclass(frozen=True)
 class _SweepPhase:
     index: int
+    anchor: float    # sensor inner radius at phase start
     duration: float
     span: float      # angular sector each defender covers this sweep
     progress: Callable[[np.ndarray], np.ndarray]  # angular progress s(t), s(0) = 0
@@ -201,7 +234,7 @@ def _make_sweep(
 
     span = protocols.sweep(params, Vs, kind, anchor)[0]
     starts, dirs = _sweep_starts(params, kind, index, span)
-    return _SweepPhase(index, sweep.duration, span, progress, inner, starts, dirs)
+    return _SweepPhase(index, anchor, sweep.duration, span, progress, inner, starts, dirs)
 
 
 def _check_config(grid: SimConfig) -> None:
@@ -340,8 +373,9 @@ class _Frontier:
     clamp at 0. The decay since the phase began is a running level, so
     bin j, set to value[j] when the level stood at base[j], has radius
     max(value - (level - base), 0): a step costs nothing until a sensor
-    crosses the bin. Only the current phase's steps are held; earlier
-    phases are rebuilt from their duration when a bin's fall is replayed.
+    crosses the bin. Only the current phase's steps are held, from the
+    tick arrays of the two latest (duration, dt) pairs; earlier phases are
+    rebuilt from their duration when a bin's fall is replayed.
     """
 
     def __init__(self, bins: int, R0: float, VT: float):
@@ -352,6 +386,8 @@ class _Frontier:
         self.center_hit = np.zeros(bins, dtype=bool)
         self.firsts: List[int] = []  # first step of every phase begun
         self.phases: List[Tuple[float, Optional[float]]] = []  # (duration, dt)
+        # (duration, dt) -> read-only step lengths h, drops VT*h and levels
+        self.ticks: Dict[Hashable, tuple] = {}
         self.first, self.steps, self.t, self.level = 0, 0, 0.0, 0.0
         # column blocks (step, 0 center | 1 sensor, defender, distance, bin,
         # rho, inner, t), one per recording sweep phase
@@ -361,19 +397,23 @@ class _Frontier:
 
     def begin(self, duration: float, dt: Optional[float]) -> np.ndarray:
         """Start the next phase: a sweep ticked at dt, or an advance (dt None)."""
-        h = _tick_lengths(duration, dt)
+        key = (duration, dt)
+        h, _, self.levels = _recent(self.ticks, key, partial(self._tick_arrays, *key))
         self.first = self.steps
         self.firsts.append(self.first)
-        self.phases.append((duration, dt))
+        self.phases.append(key)
         # levels restart at 0 each phase, so their rounding stays at the
         # scale of one phase; times continue the run's sum tick by tick
         self.base -= self.level
-        self.drop = self.VT * h
-        self.levels = np.cumsum(self.drop)
         self.times = np.cumsum(np.concatenate(([self.t], h)))[1:]
         self.steps += len(h)
         self.t, self.level = float(self.times[-1]), float(self.levels[-1])
         return h
+
+    def _tick_arrays(self, duration: float, dt: Optional[float]) -> Tuple[np.ndarray, ...]:
+        h = _tick_lengths(duration, dt)
+        drop = self.VT * h
+        return _read_only(h, drop, np.cumsum(drop))
 
     def radius(self, j: np.ndarray, k: np.ndarray, level: np.ndarray) -> np.ndarray:
         """Radii of bins j after ticks k of this phase, at decay levels
@@ -412,9 +452,8 @@ class _Frontier:
         return np.maximum(lazy, 0.0)
 
     def _drops(self, q: int) -> np.ndarray:
-        if q == len(self.phases) - 1:
-            return self.drop
-        return self.VT * _tick_lengths(*self.phases[q])
+        kept = self.ticks.get(self.phases[q])  # the current phase's always is
+        return kept[1] if kept is not None else self.VT * _tick_lengths(*self.phases[q])
 
     def _replay(self, b: int, end: int) -> None:
         """Record bin b's center hit if its fall reaches 0 by step end."""
@@ -479,11 +518,13 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     measured per defender; every bin beyond it is out of reach. Distances
     are fmod(v, 2pi) lifted by 2pi where negative, which is numpy's v % 2pi
     bit for bit except for the sign of a zero, and the edge snap maps
-    either zero to 0.0. Only bins met more than once (pincer meetings,
-    same-direction overlap) are ranked, by one argsort of the int64 key
-    (bin * K + tick) * n + defender over K ticks, unique per crossing, so
-    the order is that of a (bin, tick, defender) sort; every other
-    crossing has rank 0. run keeps bins * n * K below 2**63.
+    either zero to 0.0; fmod runs only where |v| >= 2pi, since it returns
+    any smaller v as it is. Only bins met more than once (pincer meetings,
+    same-direction overlap) are ranked, by one stable argsort of the int64
+    key (bin * K + tick) * n + defender over K ticks, unique per crossing,
+    so the order is that of a (bin, tick, defender) sort; the keys come
+    nearly sorted, defender-major, which a stable sort takes faster. Every
+    other crossing has rank 0. run keeps bins * n * K below 2**63.
     """
     M = len(centers)
     n = len(phase.starts)
@@ -493,7 +534,9 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     lowest = np.floor(low_edge / binwidth - 0.5).astype(np.int64) - 2
     window = (lowest % M)[:, None] + np.arange(width)
     window[window >= M] -= M
-    dist = np.fmod((centers[window] - phase.starts[:, None]) * phase.dirs[:, None], _TWO_PI)
+    dist = (centers[window] - phase.starts[:, None]) * phase.dirs[:, None]
+    wrap = np.abs(dist) >= _TWO_PI
+    np.fmod(dist, _TWO_PI, out=dist, where=True if wrap.all() else wrap)
     np.add(dist, _TWO_PI, out=dist, where=dist < 0.0)
     dist[(dist <= _EDGE_SNAP) | (dist >= _TWO_PI - _EDGE_SNAP)] = 0.0
     dist[np.abs(dist - phase.span) <= _EDGE_SNAP] = phase.span
@@ -506,7 +549,7 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     shared = np.flatnonzero(np.bincount(j, minlength=M)[j] > 1)
     if shared.size:
         js = j[shared]
-        order = np.argsort((js * len(s) + k[shared]) * n + d[shared])
+        order = np.argsort((js * len(s) + k[shared]) * n + d[shared], kind="stable")
         shared, js = shared[order], js[order]
         pos = np.arange(len(js))
         new_bin = np.ones(len(js), dtype=bool)
@@ -515,30 +558,54 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     return d, j, x, k, rank
 
 
-def _sweep(front: _Frontier, phase: _SweepPhase, h: np.ndarray, centers, two_r):
-    """Clear every crossing of the sweep phase the frontier has just begun.
+class _Shape(NamedTuple):
+    """The crossings of one sweep shape, searched once per run: defender,
+    bin, distance and tick of each, the sensor's inner radius then, and
+    the crossings each clearing pass takes, in pass order. Read-only."""
 
-    Returns defender, bin, distance, tick, the frontier radius the sensor
-    met and the sensor's inner radius for each crossing.
-    """
+    d: np.ndarray
+    j: np.ndarray
+    x: np.ndarray
+    k: np.ndarray
+    inner: np.ndarray
+    passes: Tuple[Union[slice, np.ndarray], ...]
+
+
+def _shape_key(phase: _SweepPhase) -> Hashable:
+    """What a phase's crossings depend on, dt, kind and Vs being fixed
+    for a run."""
+    return phase.anchor, phase.duration, phase.span, phase.starts.tobytes(), phase.dirs.tobytes()
+
+
+def _shape(phase: _SweepPhase, h: np.ndarray, centers: np.ndarray) -> _Shape:
+    """Search the crossings of a sweep phase ticked at step lengths h."""
     t_local = np.cumsum(h)
     t_local[-1] = phase.duration
     s = phase.progress(t_local)
     s[-1] = phase.span
     np.maximum.accumulate(s, out=s)
     d, j, x, k, rank = _crossings(phase, centers, s)
-    inner = phase.inner(t_local[k])
-    rho = np.empty(len(j))
     # a bin met by several sensors (pincer meetings, same-direction
     # overlap) takes them in tick and then defender order, one pass each
-    passes = int(rank.max()) + 1 if len(j) else 0
-    for r in range(passes):
-        sel = np.flatnonzero(rank == r) if passes > 1 else slice(None)
+    count = int(rank.max()) + 1 if len(j) else 0
+    if count == 1:
+        passes = (slice(None),)
+    else:
+        passes = _read_only(*(np.flatnonzero(rank == r) for r in range(count)))
+    return _Shape(*_read_only(d, j, x, k, phase.inner(t_local[k])), passes)
+
+
+def _sweep(front: _Frontier, shape: _Shape, two_r: float) -> np.ndarray:
+    """Clear every crossing of the sweep phase the frontier has just begun;
+    returns the frontier radius each crossing's sensor met."""
+    j, k, inner = shape.j, shape.k, shape.inner
+    rho = np.empty(len(j))
+    for sel in shape.passes:
         js, ks = j[sel], k[sel]
         level = front.levels[ks]
         rho[sel] = met = front.radius(js, ks, level)
         front.clear(js, ks, level, np.maximum(met, inner[sel] + two_r))
-    return d, j, x, k, rho, inner
+    return rho
 
 
 def run(
@@ -552,7 +619,8 @@ def run(
     Mode "auto" picks defense when Vs is at or below the protocol's
     critical speed (or when eps leaves no room to expand) and expansion
     otherwise. A run that would step more than MAX_TICKS ticks raises
-    MaxIterations before any phase is built.
+    MaxIterations before any phase is built. A sweep shape seen before
+    in the run is played from its kept search (see _recent).
     """
     params = validate(params)
     if Vs <= params.VT:
@@ -571,18 +639,22 @@ def run(
     profiles: Optional[List[np.ndarray]] = [] if grid.capture_profiles else None
     min_margin = math.inf
     ticks = crossings = 0
+    shapes: Dict[Hashable, tuple] = {}
 
     for phase, advance in _phases(params, Vs, kind, planned, repeats):
         h = front.begin(phase.duration, dt)
-        d, j, x, k, rho, inner = _sweep(front, phase, h, centers, 2.0 * params.r)
+        shape = _recent(shapes, _shape_key(phase), partial(_shape, phase, h, centers))
+        rho = _sweep(front, shape, 2.0 * params.r)
         ticks += len(h)
-        crossings += len(j)
-        margins = rho - inner
+        crossings += len(rho)
+        margins = rho - shape.inner
         sweep_margin = float(margins.min()) if len(margins) else math.inf
         if phase.index >= 1:  # warm-up sweep excluded from reporting
             min_margin = min(min_margin, sweep_margin)
-            bad = margins < -grid_tolerance
-            front.record(*(a[bad] for a in (k, d, x, j, rho, inner)))
+            if not sweep_margin >= -grid_tolerance:  # a clean sweep records nothing
+                bad = margins < -grid_tolerance
+                d, j, x, k, inner, _ = shape
+                front.record(*(a[bad] for a in (k, d, x, j, rho, inner)))
 
         rho_end = front.settle()
         sweeps.append(

@@ -158,6 +158,21 @@ class TestTableModel:
         assert back.rows[0] == [1, 2.5, "ok", None]
         assert back.rows[1][1] == pytest.approx(1.0 / 3.0, rel=1e-8)
 
+    def test_numpy_int_cells_are_json_ints(self):
+        # CSV writes an np.int64 cell as its digits, so JSON writes its int
+        big, low = np.int64(2**63 - 1), np.int64(-(2**63))
+        cells = [[np.int64(7), 2.5, "ok"], [low, None, big]]
+        ints = [[7, 2.5, "ok"], [-(2**63), None, 2**63 - 1]]
+        blocks = Table(["k", "a", "b", "c"])
+        blocks.extend((np.int64(3),), cells, ())
+        for table, plain in (
+            (Table(["a", "b", "c"], cells), Table(["a", "b", "c"], ints)),
+            (blocks, Table(["k", "a", "b", "c"], [[3, *row] for row in ints])),
+        ):
+            text = report.render_json(table)
+            assert text == report.render_json(plain)
+            assert json.loads(text)["rows"] == plain.rows
+
     def test_json_round_trip(self, tmp_path):
         t = Table(["x", "status"])
         t.append(0.1 + 0.2, "ok")
@@ -347,7 +362,8 @@ class TestBlockTables:
 
 
 def _json_or_error(table):
-    # JSON has no encoding for np.int64: both tables must fail alike
+    # a cell JSON cannot encode (np.int64 is written as its int) must fail
+    # alike in both tables
     try:
         return report.render_json(table)
     except TypeError as exc:
@@ -568,6 +584,25 @@ class TestSubcommands:
         )
         assert row["Vc_circ_same"] == pytest.approx(10.0 * math.pi + 1.0, rel=1e-8)
         assert row["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "speeds, per_group",
+        [
+            (dict(Vs=(40.0, 60.0, 80.0)), 1),
+            (dict(speed_mode=SpeedMode.DELTA_OWN, dV=(1.0, 2.0, 3.0)), 1),
+            # the reference scenario as well as the group's own
+            (dict(speed_mode=SpeedMode.DELTA_REFERENCE, dV=(1.0, 2.0, 3.0)), 2),
+        ],
+    )
+    def test_each_scenario_is_validated_once_per_group(self, monkeypatch, speeds, per_group):
+        validated = []
+        validate = cli.validate
+        monkeypatch.setattr(cli, "validate", lambda p: validated.append(p) or validate(p))
+        cfg = RunConfig(protocol=tuple(ProtocolKind)[:2], n=(2, 4), eps=(0.1, 0.2), **speeds)
+        table = cli.cmd_max_radius(cfg)
+        groups = 2 * 2 * 2
+        assert len(table.rows) == 3 * groups
+        assert len(validated) == per_group * groups
 
     def test_subcritical_becomes_status_row(self, tmp_path):
         out = tmp_path / "t.csv"

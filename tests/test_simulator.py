@@ -206,6 +206,85 @@ def test_long_defense_holds_no_phase_per_cycle():
     assert per_cycle < 1000, f"peak grows by {per_cycle:.0f} B per defense cycle"
 
 
+def traced_peak(run):
+    """Peak traced memory of run() above what was allocated before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestRepeatedShapes:
+    """A run searches each sweep shape once and keeps at most two."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """Every _crossings result, and the most entries any store held."""
+        found, most = [], [0]
+        crossings, recent = simulator._crossings, simulator._recent
+
+        def counted(*args):
+            found.append(crossings(*args))
+            return found[-1]
+
+        def bounded(store, key, make):
+            value = recent(store, key, make)
+            most[0] = max(most[0], len(store))
+            return value
+
+        monkeypatch.setattr(simulator, "_crossings", counted)
+        monkeypatch.setattr(simulator, "_recent", bounded)
+        return found, most
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_defense_searches_each_shape_once(self, searched, kind):
+        # pincer sweeps alternate outbound and inbound; same-direction
+        # sweeps move on one sector each time and never repeat
+        found, most = searched
+        p = make(n=8)
+        rep = simulator.run(p, 1.5 * protocols.CRITICAL[kind](p), kind,
+                            SimConfig(bins=720, mode="defense", cycles=5))
+        assert len(rep.sweeps) == 5
+        assert len(found) == (2 if protocols.is_pincer(kind) else 5)
+        assert most[0] == 2
+        # the work counts still count every phase
+        per_phase = [found[i % len(found)] for i in range(5)]
+        assert rep.crossings == sum(len(j) for _, j, _, _, _ in per_phase)
+        assert rep.clearing_passes == sum(int(rank.max()) + 1 for *_, rank in per_phase)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_expansion_searches_every_sweep(self, searched, kind):
+        found, most = searched
+        p = make()
+        rep = simulator.run(p, 2.0 * protocols.CRITICAL[kind](p), kind,
+                            SimConfig(bins=720, mode="expansion", max_sweeps=6))
+        assert len(rep.sweeps) == len(found) == 6
+        assert most[0] == 2
+        assert rep.crossings == sum(len(f[1]) for f in found)
+
+    @pytest.mark.parametrize("kind", [CIRC, SPIR_SAME])
+    def test_long_expansion_keeps_two_shapes(self, kind):
+        # every expansion sweep is a new shape; a store that kept them all
+        # would grow the peak by tens of kB per sweep at 360 bins
+        p = make(eps=1e-3)
+        Vs = 5.0 * protocols.CRITICAL[kind](p)
+
+        def peak(max_sweeps):
+            grid = SimConfig(bins=360, mode="expansion", max_sweeps=max_sweeps)
+            return traced_peak(lambda: simulator.run(p, Vs, kind, grid))
+
+        assert len(protocols.expansion(p, Vs, kind)[0]) >= 300
+        per_sweep = (peak(300) - peak(100)) / 200
+        assert per_sweep < 2048, f"peak grows by {per_sweep:.0f} B per expansion sweep"
+
+
 def test_defense_sweep_is_the_schedules_first():
     # a defense plays, to the bit, the sweep the analytic schedule prices first
     defense = SimConfig(mode="defense")

@@ -100,6 +100,22 @@ def test_defense_matches_tick_loop(n, kind, below):
         assert len(rep.breaches), "the comparison should cover sensor breaches"
 
 
+@pytest.mark.parametrize("n", [2, 32])
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("below", [True, False])
+def test_repeated_sweep_shapes_match_tick_loop(n, kind, below):
+    # from the third sweep on, a pincer defense plays its outbound and
+    # inbound sweeps from the searches of its first two
+    params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
+    Vc = CRITICAL[kind](params)
+    Vs = params.VT + 0.75 * (Vc - params.VT) if below else 1.1 * Vc
+    grid = SimConfig(bins=1800, mode="defense", cycles=4, capture_profiles=True)
+    rep = assert_matches_oracle(params, Vs, kind, grid)
+    if below and protocols.is_pincer(kind):
+        late = rep.breaches["t"] > rep.sweeps[1].t
+        assert late.any(), "the comparison should cover breaches in replayed sweeps"
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_ten_sweep_expansion_matches_tick_loop(kind):
     Vs = CRITICAL[kind](BASE) + 10.0 * BASE.VT
