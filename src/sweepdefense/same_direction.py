@@ -44,7 +44,7 @@ from .errors import InvalidParam, MaxIterations, NoExpansion
 from .rootfind import RootProblem, solve_widening
 from .scenario import ExpansionStep, ProtocolKind, ProtocolSummary, ScenarioParams
 from .spiral_pincer import _contraction as _spiral_pincer_contraction
-from .spiral_pincer import checked_contraction
+from .spiral_pincer import checked_contraction, lateral_speed
 from .spiral_pincer import critical_speed as _spiral_pincer_speed
 
 _TWO_PI = 2.0 * math.pi
@@ -67,9 +67,7 @@ def guard_angle(params: ScenarioParams, Vs: float, R: float) -> float:
 
 def _spiral_same_lam(params: ScenarioParams, Vs: float, R: float) -> float:
     span = _TWO_PI / params.n + guard_angle(params, Vs, R)
-    return checked_contraction(
-        math.exp(-span * params.VT / math.sqrt(Vs * Vs - params.VT * params.VT)), Vs
-    )
+    return checked_contraction(math.exp(-span * params.VT / lateral_speed(Vs, params.VT)), Vs)
 
 
 @memo.per_scene
@@ -194,7 +192,7 @@ def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Seq
         sector = _TWO_PI / n
         two_r = 2.0 * r
         two_r_Vs = two_r * Vs
-        lateral = math.sqrt(Vs * Vs - VT * VT)
+        lateral = lateral_speed(Vs, VT)
     T_list: List[float] = []
     eff_list: List[float] = []
     ends: List[Tuple[int, float]] = []

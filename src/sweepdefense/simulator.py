@@ -50,6 +50,7 @@ import numpy as np
 from . import protocols
 from .errors import ConfigError, MaxIterations, NoExpansion, SpeedTooLow
 from .scenario import ProtocolKind, ScenarioParams, validate
+from .spiral_pincer import lateral_speed
 
 _TWO_PI = 2.0 * math.pi
 
@@ -188,53 +189,45 @@ class _Planned(NamedTuple):
 
     anchor: float             # sensor inner radius at sweep start
     duration: float
-    max_rate: float           # peak angular speed, for the dt stability limit
     advance: Optional[float]  # outward phase after the sweep, if there is one
 
 
-def _planned(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind,
-    anchor: float, duration: float, advance: Optional[float],
-) -> _Planned:
+def _motion(params: ScenarioParams, Vs: float, kind: ProtocolKind, sweep: _Planned):
+    """A planned sweep's angular progress s(t), s(0) = 0, its sensor's
+    inner radius at phase time t, and its peak angular rate. A spiral
+    sensor moves in with the frontier, so it turns fastest at the end."""
+    VT, anchor = params.VT, sweep.anchor
     if protocols.is_spiral(kind):
-        # a spiral sensor turns fastest at the sweep's end, where it is innermost
-        innermost = anchor + params.r - params.VT * duration
+        Rt0 = anchor + params.r
+        innermost = Rt0 - VT * sweep.duration
         if innermost <= 0.0:  # 1 - lam rounds to 1 once lam is below about 2**-53
             raise MaxIterations(f"at Vs={Vs} the spiral sensor reaches the centre within one "
                                 f"sweep, past any run of {MAX_TICKS} ticks: raise --Vs")
-        lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
-        max_rate = lateral / innermost
+        lateral = lateral_speed(Vs, VT)
+
+        def progress(t):
+            return (lateral / VT) * np.log(Rt0 / (Rt0 - VT * t))
+
+        inward, rate = VT, lateral / innermost
     else:
-        max_rate = Vs / anchor
-    return _Planned(anchor, duration, max_rate, advance)
+        inward, rate = 0.0, Vs / anchor  # a circular sensor turns at its one rate
+
+        def progress(t):
+            return rate * t
+
+    def inner(t):
+        return anchor - inward * t
+
+    return progress, inner, rate
 
 
 def _make_sweep(
     params: ScenarioParams, Vs: float, kind: ProtocolKind, index: int, sweep: _Planned
 ) -> _SweepPhase:
-    VT, anchor = params.VT, sweep.anchor
-    if protocols.is_spiral(kind):
-        lateral = math.sqrt(Vs * Vs - VT * VT)
-        Rt0 = anchor + params.r
-
-        def progress(t):
-            return (lateral / VT) * np.log(Rt0 / (Rt0 - VT * t))
-
-        inward = VT  # the spiral sensor moves in with the frontier
-    else:
-        omega = sweep.max_rate  # a circular sensor turns at its one rate, Vs/anchor
-
-        def progress(t):
-            return omega * t
-
-        inward = 0.0
-
-    def inner(t):
-        return anchor - inward * t
-
-    span = protocols.sweep(params, Vs, kind, anchor)[0]
+    progress, inner, _ = _motion(params, Vs, kind, sweep)
+    span = protocols.sweep(params, Vs, kind, sweep.anchor)[0]
     starts, dirs = _sweep_starts(params, kind, index, span)
-    return _SweepPhase(index, anchor, sweep.duration, span, progress, inner, starts, dirs)
+    return _SweepPhase(index, sweep.anchor, sweep.duration, span, progress, inner, starts, dirs)
 
 
 def _check_config(grid: SimConfig) -> None:
@@ -256,7 +249,8 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
 
     Mode auto picks defense at or below the critical speed, or when eps
     leaves no room to expand. _checked_dt counts the ticks against the
-    budget and gives dt; _phases builds each phase when the run reaches it.
+    budget and gives dt from the first sweep's peak rate; _phases builds
+    each phase, with its motion, when the run reaches it.
 
     An expansion plays the analytic schedule once, open loop, cut to
     max_sweeps; the last advance stops at the target unless the schedule
@@ -283,14 +277,14 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
             played = steps[: grid.max_sweeps]
             if len(played) == len(steps):
                 played[-1] = played[-1]._replace(T_out_i=summary.T_out_last)
-            sweeps = [_planned(params, Vs, kind, s.R_i, s.T_sweep_i, s.T_out_i) for s in played]
+            sweeps = [_Planned(s.R_i, s.T_sweep_i, s.T_out_i) for s in played]
             repeats, R_ref = 1, summary.R_asym
     if mode == "defense":
         duration = protocols.sweep(params, Vs, kind, params.R0)[1]
         advance = 2.0 * params.r / (Vs + params.VT) if protocols.is_spiral(kind) else None
-        sweeps = [_planned(params, Vs, kind, params.R0, duration, advance)]
+        sweeps = [_Planned(params.R0, duration, advance)]
         repeats, R_ref = grid.cycles, params.R0 + 2.0 * params.r
-    dt = _checked_dt(params, Vs, grid, mode, sweeps, repeats)
+    dt = _checked_dt(params, Vs, kind, grid, mode, sweeps, repeats)
     return mode, sweeps, repeats, R_ref, dt
 
 
@@ -329,19 +323,21 @@ def _tick_lengths(duration: float, dt: Optional[float]) -> np.ndarray:
 
 
 def _checked_dt(
-    params: ScenarioParams, Vs: float, grid: SimConfig, mode: str,
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig, mode: str,
     sweeps: Sequence[_Planned], repeats: int,
 ) -> float:
     """The run's dt, once the sweeps, played `repeats` times over, are
     known to fit the tick budget.
 
-    dt is stability-limited unless grid.dt sets it. A run is refused when
-    it would step more than MAX_TICKS ticks, or when bins * n * (ticks of
-    its longest sweep) reaches 2**63, where _crossings' int64 ranking key
-    would overflow.
+    dt is limited by the first sweep's peak angular rate, or set by
+    grid.dt and checked against it: no later sweep turns faster, as each
+    sweep's innermost sensor radius rises with its anchor. A run is
+    refused when it would step more than MAX_TICKS ticks, or when bins *
+    n * (ticks of its longest sweep) reaches 2**63, where _crossings'
+    int64 ranking key would overflow.
     """
     binwidth = _TWO_PI / grid.bins
-    max_rate = max(p.max_rate for p in sweeps)
+    max_rate = _motion(params, Vs, kind, sweeps[0])[2]
     if grid.dt is None:
         dt = min(0.5 * binwidth / max_rate, params.r / (50.0 * Vs))
     else:

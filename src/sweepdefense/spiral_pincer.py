@@ -49,12 +49,19 @@ def checked_contraction(lam: float, Vs: float) -> float:
     return lam
 
 
+def lateral_speed(Vs: float, VT: float) -> float:
+    """sqrt(Vs^2 - VT^2): InvalidParam above VT where the squares leave
+    the float range; at or below VT, ValueError or a 0 root, which a root
+    search's probe past its bracket may meet (see rootfind.RootProblem)."""
+    lateral = math.sqrt(Vs * Vs - VT * VT)
+    if Vs > VT and not 0.0 < lateral < math.inf:
+        raise InvalidParam("VT", f"{VT}: Vs^2 - VT^2 leaves the float range at Vs={Vs}")
+    return lateral
+
+
 def _contraction(params: ScenarioParams, Vs: float) -> float:
     return checked_contraction(
-        math.exp(
-            -_TWO_PI * params.VT / (params.n * math.sqrt(Vs * Vs - params.VT * params.VT))
-        ),
-        Vs,
+        math.exp(-_TWO_PI * params.VT / (params.n * lateral_speed(Vs, params.VT))), Vs
     )
 
 
@@ -65,12 +72,11 @@ def spiral_geometry(params: ScenarioParams, Vs: float) -> SpiralGeometry:
     polar angle accumulates as the closed-form logarithm; beta(Tc) lands
     exactly on the pair sector 2*pi/n.
     """
-    if Vs <= params.VT:
-        raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={params.VT}")
-    lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
+    VT, R_start = params.VT, params.R0 + params.r
+    if Vs <= VT:
+        raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={VT}")
+    lateral = lateral_speed(Vs, VT)
     lam = _contraction(params, Vs)
-    R_start = params.R0 + params.r
-    VT = params.VT
 
     def beta(t: float) -> float:
         return (lateral / VT) * math.log(R_start / (R_start - VT * t))

@@ -449,6 +449,14 @@ class TestExitCodes:
             # pi*R0*VT/(n*r) overflows: no critical speed is a number
             "critical-speeds --R0 1e200 --r 1e-200 --n 2",
             "totals --R0 1e200 --r 1e-200 --speed-mode delta-own --dV 1",
+            # Vs^2 and VT^2 underflow, so the spiral lateral speed is 0
+            "critical-speeds --VT 1e-300",
+            "max-radius --protocol spiral-pincer --Vs 1 --VT 1e-300",
+            "totals --protocol spiral-same --Vs 1 --VT 1e-200",
+            "simulate --protocol spiral-pincer --Vs 40 --bins 360 --VT 1e-300",
+            # both squares overflow, so the spiral lateral speed is nan
+            "simulate --protocol spiral-pincer --VT 1e160 --Vs 1e163 --bins 360 --mode defense",
+            "critical-speeds --VT 1e160",
         ],
     )
     def test_invalid_scenario_is_config_error(self, capsys, argv):

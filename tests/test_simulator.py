@@ -301,6 +301,46 @@ def test_defense_sweep_is_the_schedules_first():
     assert off == []
 
 
+def peak_rates(params, Vs, kind):
+    """Each schedule sweep's peak angular rate: a circular sensor turns at
+    Vs/R_i, a spiral one fastest where it is innermost, at the sweep's end."""
+    steps, _ = protocols.expansion(params, Vs, kind)
+    if not protocols.is_spiral(kind):
+        return [Vs / s.R_i for s in steps]
+    lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
+    return [lateral / (s.R_i + params.r - params.VT * s.T_sweep_i) for s in steps]
+
+
+def test_no_planned_sweep_turns_faster_than_the_first():
+    # the simulator takes dt from the first sweep's rate alone
+    schedules, faster = 0, []
+    for kind, n, factor, eps in itertools.product(
+        ProtocolKind, (2, 8, 32, 128), (1.0001, 1.1, 2.0, 10.0), (1.0, 1e-3, 1e-6)
+    ):
+        params = make(n=n, eps=eps)
+        try:
+            rates = peak_rates(params, factor * protocols.CRITICAL[kind](params), kind)
+        except NoExpansion:
+            continue
+        schedules += 1
+        if rates[0] != max(rates):
+            faster.append((kind.value, n, factor, eps, rates.index(max(rates))))
+    assert faster == []
+    assert schedules == 184
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("n", [2, 8])
+def test_expansion_dt_follows_the_fastest_sweep(kind, n):
+    params = make(n=n, eps=1.0)
+    Vs = 2.0 * protocols.CRITICAL[kind](params)
+    grid = SimConfig(mode="expansion")
+    dt = simulator._plan(params, Vs, kind, grid)[4]
+    stable = 0.5 * (2.0 * math.pi / grid.bins) / max(peak_rates(params, Vs, kind))
+    assert stable < params.r / (50.0 * Vs)  # the rate sets dt here
+    assert dt == stable
+
+
 class TestSameDirectionDefense:
     def test_spiral_same_margin_vanishes_at_root(self):
         p = make()
