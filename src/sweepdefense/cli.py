@@ -12,8 +12,9 @@ protocol's own or that of a fixed reference protocol and defender count,
 matching how the comparison scenarios are usually specified.
 
 The fields of RunConfig are the config keys and the flags: each carries
-its parser and help text. Every grid table is a column list plus a
-function from a grid point to its rows.
+its parser and help text. Every parser comes from one of two factories,
+_list_of for comma lists and _one for single values. Every grid table is
+a column list plus a function from a grid point to its rows.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from . import __version__, memo, protocols, report
 from .bounds import universal_lower_bound
@@ -48,8 +49,6 @@ class SpeedMode(Enum):
     DELTA_REFERENCE = "delta-reference"
 
 
-_KIND_BY_NAME = {k.value: k for k in ProtocolKind}
-
 # domain outcomes that mark a grid point instead of aborting the sweep
 _ROW_ERRORS = (SubcriticalSpeed, NoExpansion, SpeedTooLow)
 
@@ -60,30 +59,36 @@ _ROW_ERRORS = (SubcriticalSpeed, NoExpansion, SpeedTooLow)
 MAX_LIST_VALUES = 1_000_000
 
 
-def _check_count(key: str, token: str, have: int, count: int) -> None:
-    if have + count > MAX_LIST_VALUES:
-        raise ConfigError(
-            f"{key}={token!r}: more than {MAX_LIST_VALUES} values in one key"
-        )
+def _list_of(token_values: Callable, expected: str) -> Callable[[str, str], tuple]:
+    """A parser of comma lists, empty tokens skipped. token_values(token)
+    gives the token's count and its values, which are made only once the
+    count fits; it raises ValueError when the token is not `expected`."""
+
+    def parse(text: str, key: str) -> tuple:
+        out: list = []
+        for token in filter(None, text.split(",")):
+            try:
+                count, values = token_values(token)
+            except ValueError as exc:
+                raise ConfigError(f"{key}={token!r}: expected {expected}") from exc
+            if len(out) + count > MAX_LIST_VALUES:
+                raise ConfigError(f"{key}={token!r}: more than {MAX_LIST_VALUES} values in one key")
+            out.extend(values)
+        return tuple(out)
+
+    return parse
 
 
-def _parse_int_list(text: str, key: str) -> Tuple[int, ...]:
-    out: List[int] = []
-    for token in filter(None, text.split(",")):
+def _one(convert: Callable[[str], object], expected: str) -> Callable[[str, str], object]:
+    """A parser of one value: convert(text), raising ValueError or KeyError if not `expected`."""
+
+    def parse(text: str, key: str):
         try:
-            if ":" in token:
-                lo, hi, step = (int(x) for x in token.split(":"))
-                if step == 0:
-                    raise ValueError("zero step")
-                count = max((hi - lo) // step + 1, 0)  # inclusive of hi
-                values = range(lo, lo + count * step, step)
-            else:
-                count, values = 1, (int(token),)
-        except ValueError as exc:
-            raise ConfigError(f"{key}={token!r}: expected int or lo:hi:step") from exc
-        _check_count(key, token, len(out), count)
-        out.extend(values)
-    return tuple(out)
+            return convert(text)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{key}={text!r}: expected {expected}") from exc
+
+    return parse
 
 
 def _finite(text: str) -> float:
@@ -93,38 +98,38 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str, key: str) -> Tuple[float, ...]:
-    out: List[float] = []
-    for token in filter(None, text.split(",")):
-        try:
-            if ":" in token:
-                lo, hi, step = (_finite(x) for x in token.split(":"))
-                if step <= 0.0:
-                    raise ValueError("step must be positive")
-                # clamped before int(): the quotient is inf when hi - lo overflows
-                span = min((hi - lo) / step + 1e-9, MAX_LIST_VALUES)
-                count = int(span) + 1 if span > -1.0 else 0
-                values = (lo + i * step for i in range(count))
-            else:
-                count, values = 1, (_finite(token),)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{key}={token!r}: expected a finite float or lo:hi:step"
-            ) from exc
-        _check_count(key, token, len(out), count)
-        out.extend(values)
-    return tuple(out)
+def _int_token(token: str) -> Tuple[int, Iterable[int]]:
+    if ":" not in token:
+        return 1, (int(token),)
+    lo, hi, step = (int(x) for x in token.split(":"))
+    if step == 0:
+        raise ValueError("zero step")
+    count = max((hi - lo) // step + 1, 0)  # inclusive of hi
+    return count, range(lo, lo + count * step, step)
 
 
-def _parse_protocols(text: str, key: str) -> Tuple[ProtocolKind, ...]:
-    kinds = []
-    for token in filter(None, text.split(",")):
-        if token not in _KIND_BY_NAME:
-            raise ConfigError(
-                f"{key}={token!r}: expected one of {', '.join(sorted(_KIND_BY_NAME))}"
-            )
-        kinds.append(_KIND_BY_NAME[token])
-    return tuple(kinds)
+def _float_token(token: str) -> Tuple[int, Iterable[float]]:
+    if ":" not in token:
+        return 1, (_finite(token),)
+    lo, hi, step = (_finite(x) for x in token.split(":"))
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    # clamped before int(): the quotient is inf when hi - lo overflows
+    span = min((hi - lo) / step + 1e-9, MAX_LIST_VALUES)
+    count = int(span) + 1 if span > -1.0 else 0
+    return count, (lo + i * step for i in range(count))
+
+
+_parse_int_list = _list_of(_int_token, "int or lo:hi:step")
+_parse_float_list = _list_of(_float_token, "a finite float or lo:hi:step")
+_parse_protocols = _list_of(
+    lambda token: (1, (ProtocolKind(token),)),
+    f"one of {', '.join(sorted(k.value for k in ProtocolKind))}",
+)
+_parse_number = _one(_finite, "a finite number")
+_parse_int = _one(int, "an integer")
+_parse_speed_mode = _one(SpeedMode, f"one of {', '.join(m.value for m in SpeedMode)}")
+_parse_format = _one({"csv": "csv", "json": "json"}.__getitem__, "csv or json")
 
 
 def _parse_protocol(text: str, key: str) -> ProtocolKind:
@@ -132,35 +137,6 @@ def _parse_protocol(text: str, key: str) -> ProtocolKind:
     if len(kinds) != 1:
         raise ConfigError(f"{key} must name exactly one protocol")
     return kinds[0]
-
-
-def _parse_number(text: str, key: str) -> float:
-    try:
-        return _finite(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}={text!r}: expected a finite number") from exc
-
-
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}={text!r}: expected an integer") from exc
-
-
-def _parse_speed_mode(text: str, key: str) -> SpeedMode:
-    try:
-        return SpeedMode(text)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{key}={text!r}: expected one of {', '.join(m.value for m in SpeedMode)}"
-        ) from exc
-
-
-def _parse_format(text: str, key: str) -> str:
-    if text not in ("csv", "json"):
-        raise ConfigError(f"{key}={text!r}: expected csv or json")
-    return text
 
 
 def _parse_text(text: str, key: str) -> str:
@@ -320,6 +296,7 @@ def _table(
 
 
 def cmd_critical_speeds(cfg: RunConfig) -> Table:
+    """critical defender speeds and the universal lower bound per n"""
     table = Table(
         ["n", "V_LB", "Vc_circ_pincer", "Vc_spiral_pincer", "Vc_circ_same", "Vc_spiral_same", "status"]
     )
@@ -340,6 +317,7 @@ def _max_radius_rows(cfg, kind, params, Vs):
 
 
 def cmd_max_radius(cfg: RunConfig) -> Table:
+    """asymptotic and target radii of maximal expansion"""
     return _table(cfg, ("R_asym", "R_max"), _max_radius_rows)
 
 
@@ -348,6 +326,7 @@ def _sweep_count_rows(cfg, kind, params, Vs):
 
 
 def cmd_sweep_count(cfg: RunConfig) -> Table:
+    """sweeps needed to finish a maximal expansion"""
     return _table(cfg, ("N_n",), _sweep_count_rows)
 
 
@@ -360,6 +339,7 @@ def _schedule_rows(cfg, kind, params, Vs):
 
 
 def cmd_schedule(cfg: RunConfig) -> Table:
+    """per-sweep expansion schedule rows"""
     return _table(cfg, _STEP_COLUMNS, _schedule_rows)
 
 
@@ -388,6 +368,7 @@ def _totals_rows(cfg, kind, params, Vs):
 
 
 def cmd_totals(cfg: RunConfig) -> Table:
+    """aggregate expansion times and radii"""
     return _table(cfg, _TOTALS_COLUMNS, _totals_rows, _at_target_radius)
 
 
@@ -415,6 +396,7 @@ def _simulate_rows(cfg, kind, params, Vs):
 
 
 def cmd_simulate(cfg: RunConfig) -> Table:
+    """wavefront simulation trace per sweep"""
     return _table(
         cfg,
         ("mode", "bins", "dt", "grid_tolerance", *_SWEEP_COLUMNS, "min_margin", "breaches"),
@@ -453,22 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    helps = {
-        "critical-speeds": "critical defender speeds and the universal lower bound per n",
-        "max-radius": "asymptotic and target radii of maximal expansion",
-        "sweep-count": "sweeps needed to finish a maximal expansion",
-        "schedule": "per-sweep expansion schedule rows",
-        "totals": "aggregate expansion times and radii",
-        "simulate": "wavefront simulation trace per sweep",
-    }
     # declared once and copied into each subcommand: add_argument's
     # formatter check then runs 20 times per parser build, not 120
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", help="flat key=value config file")
     for f in _FIELDS:
         flags.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata["help"])
-    for name in _COMMANDS:
-        sub.add_parser(name, help=helps[name], parents=[flags])
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, help=command.__doc__, parents=[flags])
     return parser
 
 

@@ -66,6 +66,11 @@ _EDGE_SNAP = 1e-12
 # at 3600 bins took 22 s on a 2-vCPU machine.
 MAX_TICKS = 10**8
 
+# Most angular bins a run may hold. A run's memory grows with its bins by
+# about 120-250 bytes each: a 128-defender defense at 10**6 bins peaked at
+# 247 MB on a 2-vCPU machine, and 10**8 bins would need over 10 GB.
+MAX_BINS = 10**6
+
 # Sweep shapes, and tick arrays, a run keeps for reuse (see the module
 # docstring): two cover a pincer's outbound and inbound sweeps.
 _KEEP = 2
@@ -233,6 +238,8 @@ def _make_sweep(
 def _check_config(grid: SimConfig) -> None:
     if grid.bins < 360:
         raise ConfigError(f"bins={grid.bins}: need at least 360 angular bins")
+    if grid.bins > MAX_BINS:
+        raise ConfigError(f"bins={grid.bins}: at most {MAX_BINS} angular bins")
     if grid.mode not in ("auto", "defense", "expansion"):
         raise ConfigError(f"mode={grid.mode!r}: expected auto, defense or expansion")
     if grid.cycles < 1:
@@ -334,7 +341,9 @@ def _checked_dt(
     sweep's innermost sensor radius rises with its anchor. A run is
     refused when it would step more than MAX_TICKS ticks, or when bins *
     n * (ticks of its longest sweep) reaches 2**63, where _crossings'
-    int64 ranking key would overflow.
+    int64 ranking key would overflow. As every sweep phase clears and
+    settles all bins, a run is also refused when bins * (planned sweeps)
+    passes MAX_TICKS.
     """
     binwidth = _TWO_PI / grid.bins
     max_rate = _motion(params, Vs, kind, sweeps[0])[2]
@@ -349,15 +358,21 @@ def _checked_dt(
             )
     counts = [n_full + (rest > 0.0) for n_full, rest in (_ticks(p.duration, dt) for p in sweeps)]
     ticks, longest = repeats * sum(counts), max(counts)
+    mode_flag = "--cycles" if mode == "defense" else "--max-sweeps"
     # past the limits in one sweep, no --cycles or --max-sweeps can help
     alone = longest > MAX_TICKS or grid.bins * params.n * longest >= 2**63
     if alone or ticks > MAX_TICKS:
-        flag = ("--bins or change --Vs" if alone
-                else "--cycles" if mode == "defense" else "--max-sweeps")
+        flag = "--bins or change --Vs" if alone else mode_flag
         raise MaxIterations(
             f"{mode} run plans {ticks} ticks at dt={dt:.6g} ({longest} in its longest sweep, "
             f"{grid.bins} bins, n={params.n}); runs are limited to {MAX_TICKS} ticks and to "
             f"bins*n*(longest sweep ticks) below 2**63: lower {flag}"
+        )
+    work = grid.bins * len(sweeps) * repeats
+    if work > MAX_TICKS:
+        raise MaxIterations(
+            f"{mode} run plans {len(sweeps) * repeats} sweeps over {grid.bins} bins, "
+            f"{work} bin updates; runs are limited to {MAX_TICKS}: lower --bins or {mode_flag}"
         )
     return dt
 

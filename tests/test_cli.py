@@ -77,6 +77,7 @@ class TestListParsing:
             (cli._parse_int_list, "n", "1,2:5:1", "1,2:6:1"),
             (cli._parse_float_list, "eps", "0:2:0.5", "0:2.5:0.5"),
             (cli._parse_float_list, "Vs", "1,2,3,4,5", "1,2,3,4,5,6"),
+            (cli._parse_protocols, "protocol", "spiral-same," * 5, "spiral-same," * 6),
         ],
     )
     def test_values_per_key_are_limited(self, monkeypatch, parse, key, at_limit, over_limit):
@@ -108,6 +109,38 @@ class TestListParsing:
 
     def test_float_range_past_the_overflow_is_empty(self):
         assert cli._parse_float_list("1e308:-1e308:1", "eps") == ()
+
+    @pytest.mark.parametrize(
+        "flag, text, line",
+        [
+            ("--n", "2,x", "error: n='x': expected int or lo:hi:step"),
+            ("--eps", "1:2:0", "error: eps='1:2:0': expected a finite float or lo:hi:step"),
+            (
+                "--protocol",
+                "helical-pincer",
+                "error: protocol='helical-pincer': expected one of circular-pincer, "
+                "circular-same, spiral-pincer, spiral-same",
+            ),
+            (
+                "--ref-protocol",
+                "circular-pincer,spiral-same",
+                "error: ref_protocol must name exactly one protocol",
+            ),
+            ("--R0", "nan", "error: R0='nan': expected a finite number"),
+            ("--bins", "3.5", "error: bins='3.5': expected an integer"),
+            (
+                "--speed-mode",
+                "sideways",
+                "error: speed_mode='sideways': expected one of absolute, delta-own, delta-reference",
+            ),
+            ("--format", "xml", "error: format='xml': expected csv or json"),
+            ("--n", "1:1000001:1", "error: n='1:1000001:1': more than 1000000 values in one key"),
+        ],
+    )
+    def test_each_parser_names_its_error(self, capsys, flag, text, line):
+        assert main(["critical-speeds", flag, text]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n" and captured.out == ""
 
 
 class TestConfigFile:
@@ -457,6 +490,8 @@ class TestExitCodes:
             # both squares overflow, so the spiral lateral speed is nan
             "simulate --protocol spiral-pincer --VT 1e160 --Vs 1e163 --bins 360 --mode defense",
             "critical-speeds --VT 1e160",
+            # over simulator.MAX_BINS: memory grows with the bins
+            "simulate --protocol circular-pincer --Vs 40 --bins 1000001",
         ],
     )
     def test_invalid_scenario_is_config_error(self, capsys, argv):
@@ -495,6 +530,8 @@ class TestExitCodes:
             ),
             # just above those speeds one sweep alone is past the budget
             ("--protocol spiral-pincer --Vs 1.0036 --mode defense --bins 360", "--bins"),
+            # 9.4e7 ticks, under the budget, but 6e9 bin updates: 8 min if it ran
+            ("--n 128 --Vs 300 --mode defense --bins 1000000 --cycles 6000", "--bins"),
         ],
     )
     def test_simulate_past_the_tick_budget_fails_at_once(self, capsys, argv, flag):
