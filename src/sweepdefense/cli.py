@@ -443,6 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
         flags.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata["help"])
     for name, command in _COMMANDS.items():
         sub.add_parser(name, help=command.__doc__, parents=[flags])
+    # written out, as argparse wraps the command list differently across
+    # Python versions; set after add_subparsers, which builds each
+    # subcommand's prog from the usage
+    indent = " " * len("usage: sweepdefense ")
+    parser.usage = f"%(prog)s [-h] [--version]\n{indent}{{{','.join(_COMMANDS)}}}\n{indent}..."
     return parser
 
 

@@ -1,11 +1,10 @@
 """Which functions answer for each protocol kind.
 
 The CLI and the simulator ask this module for a kind's critical speed,
-asymptote, totals, schedule (alone, or with its summary), sweep sector
-and duration from a radius, and whether it is a pincer or a spiral. The
-pincer kinds are answered by their own modules, the same-direction kinds
-by `same_direction`; each call looks the function up on its module when
-it is made.
+asymptote, totals, schedule, sweep sector and duration from a radius,
+and whether it is a pincer or a spiral. The pincer kinds are answered
+by their own modules, the same-direction kinds by `same_direction`; each
+call looks the function up on its module when it is made.
 """
 
 import math
@@ -58,17 +57,6 @@ def schedule(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> List[Expa
     if pincer is None:
         return same_direction.expansion_schedule_same(params, Vs, kind)[0]
     return pincer.expansion_schedule(params, Vs)
-
-
-def expansion(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind
-) -> Tuple[List[ExpansionStep], ProtocolSummary]:
-    """The schedule and its summary. Unlike the schedule alone, it raises
-    NoExpansion for the circular pincer's zero-advance step at Vc."""
-    pincer = _PINCERS.get(kind)
-    if pincer is None:
-        return same_direction.expansion_schedule_same(params, Vs, kind)
-    return pincer.expansion_schedule(params, Vs), pincer.totals(params, Vs)
 
 
 def sweep(params: ScenarioParams, Vs: float, kind: ProtocolKind, R: float) -> Tuple[float, float]:

@@ -44,7 +44,7 @@ from .errors import InvalidParam, MaxIterations, NoExpansion
 from .rootfind import RootProblem, solve_widening
 from .scenario import ExpansionStep, ProtocolKind, ProtocolSummary, ScenarioParams
 from .spiral_pincer import _contraction as _spiral_pincer_contraction
-from .spiral_pincer import checked_contraction, lateral_speed
+from .spiral_pincer import checked_contraction, lateral_speed, sweep_balance
 from .spiral_pincer import critical_speed as _spiral_pincer_speed
 
 _TWO_PI = 2.0 * math.pi
@@ -81,10 +81,7 @@ def spiral_same_critical_speed(params: ScenarioParams) -> float:
     """
 
     def balance(Vs: float) -> float:
-        lam = _spiral_same_lam(params, Vs, params.R0)
-        return (params.R0 + params.r) * (1.0 - lam) - 2.0 * params.r * Vs / (
-            Vs + params.VT
-        )
+        return sweep_balance(params, Vs, _spiral_same_lam(params, Vs, params.R0))
 
     lo = _spiral_pincer_speed(params)
     problem = RootProblem(

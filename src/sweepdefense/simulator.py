@@ -71,6 +71,9 @@ MAX_TICKS = 10**8
 # 247 MB on a 2-vCPU machine, and 10**8 bins would need over 10 GB.
 MAX_BINS = 10**6
 
+# the flag that shortens a run of each drive mode
+_MODE_FLAG = {"defense": "--cycles", "expansion": "--max-sweeps"}
+
 # Sweep shapes, and tick arrays, a run keeps for reuse (see the module
 # docstring): two cover a pincer's outbound and inbound sweeps.
 _KEEP = 2
@@ -255,9 +258,12 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
     times over: (mode, sweeps, repeats, R_ref, dt).
 
     Mode auto picks defense at or below the critical speed, or when eps
-    leaves no room to expand. _checked_dt counts the ticks against the
-    budget and gives dt from the first sweep's peak rate; _phases builds
-    each phase, with its motion, when the run reaches it.
+    leaves no room to expand. The plan is checked before it is listed:
+    dt comes from the first sweep (protocols.sweep from R0), then bins *
+    (sweeps played) is held to MAX_TICKS, with the sweep count of an
+    expansion taken from its totals; only then are the played sweeps
+    listed and their ticks counted. _phases builds each phase, with its
+    motion, when the run reaches it.
 
     An expansion plays the analytic schedule once, open loop, cut to
     max_sweeps; the last advance stops at the target unless the schedule
@@ -265,33 +271,44 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
     next sweep: the schedule counts only the effective outward time
     delta_eff/Vs, re-anchoring the sensor on the frontier where the next
     sweep's bookkeeping starts. A defense plays the schedule's first
-    sweep (protocols.sweep from R0) `cycles` times, without a list that
-    long. Circular sensors stay put between sweeps; spiral sensors end
-    each a full sensor length below the frontier and climb back during a
-    gap-closing advance of 2r/(Vs+VT).
+    sweep `cycles` times, without a list that long. Circular sensors stay
+    put between sweeps; spiral sensors end each a full sensor length
+    below the frontier and climb back during a gap-closing advance of
+    2r/(Vs+VT).
     """
     mode = grid.mode
     if mode == "auto":
         mode = "defense" if Vs <= protocols.CRITICAL[kind](params) else "expansion"
     if mode == "expansion":
         try:
-            steps, summary = protocols.expansion(params, Vs, kind)
+            summary = protocols.totals(params, Vs, kind)
         except NoExpansion:
             if grid.mode == "expansion":
                 raise
             mode = "defense"
         else:
-            played = steps[: grid.max_sweeps]
-            if len(played) == len(steps):
-                played[-1] = played[-1]._replace(T_out_i=summary.T_out_last)
-            sweeps = [_Planned(s.R_i, s.T_sweep_i, s.T_out_i) for s in played]
+            played = min(summary.N_n, grid.max_sweeps or summary.N_n)
             repeats, R_ref = 1, summary.R_asym
     if mode == "defense":
-        duration = protocols.sweep(params, Vs, kind, params.R0)[1]
+        played, repeats, R_ref = 1, grid.cycles, params.R0 + 2.0 * params.r
+    first = _Planned(params.R0, protocols.sweep(params, Vs, kind, params.R0)[1], None)
+    dt = _checked_dt(params, Vs, kind, grid, first)
+    # every sweep phase clears and settles all bins
+    work = grid.bins * played * repeats
+    if work > MAX_TICKS:
+        raise MaxIterations(
+            f"{mode} run plans {played * repeats} sweeps over {grid.bins} bins, {work} bin "
+            f"updates; runs are limited to {MAX_TICKS}: lower --bins or {_MODE_FLAG[mode]}"
+        )
+    if mode == "expansion":
+        steps = protocols.schedule(params, Vs, kind)
+        sweeps = [_Planned(s.R_i, s.T_sweep_i, s.T_out_i) for s in steps[: grid.max_sweeps]]
+        if len(sweeps) == len(steps):
+            sweeps[-1] = sweeps[-1]._replace(advance=summary.T_out_last)
+    else:
         advance = 2.0 * params.r / (Vs + params.VT) if protocols.is_spiral(kind) else None
-        sweeps = [_Planned(params.R0, duration, advance)]
-        repeats, R_ref = grid.cycles, params.R0 + 2.0 * params.r
-    dt = _checked_dt(params, Vs, kind, grid, mode, sweeps, repeats)
+        sweeps = [first._replace(advance=advance)]
+    _check_ticks(params, grid, mode, sweeps, repeats, dt)
     return mode, sweeps, repeats, R_ref, dt
 
 
@@ -330,51 +347,42 @@ def _tick_lengths(duration: float, dt: Optional[float]) -> np.ndarray:
 
 
 def _checked_dt(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig, mode: str,
-    sweeps: Sequence[_Planned], repeats: int,
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig, first: _Planned
 ) -> float:
-    """The run's dt, once the sweeps, played `repeats` times over, are
-    known to fit the tick budget.
-
-    dt is limited by the first sweep's peak angular rate, or set by
-    grid.dt and checked against it: no later sweep turns faster, as each
-    sweep's innermost sensor radius rises with its anchor. A run is
-    refused when it would step more than MAX_TICKS ticks, or when bins *
-    n * (ticks of its longest sweep) reaches 2**63, where _crossings'
-    int64 ranking key would overflow. As every sweep phase clears and
-    settles all bins, a run is also refused when bins * (planned sweeps)
-    passes MAX_TICKS.
-    """
+    """The run's dt, limited by the first sweep's peak angular rate, or set
+    by grid.dt and checked against it: no later sweep turns faster, as
+    each sweep's innermost sensor radius rises with its anchor."""
     binwidth = _TWO_PI / grid.bins
-    max_rate = _motion(params, Vs, kind, sweeps[0])[2]
+    max_rate = _motion(params, Vs, kind, first)[2]
     if grid.dt is None:
-        dt = min(0.5 * binwidth / max_rate, params.r / (50.0 * Vs))
-    else:
-        dt = grid.dt
-        if dt * max_rate >= binwidth:
-            raise ConfigError(
-                f"dt={dt}: a defender can cross a whole bin per tick "
-                f"(max rate {max_rate:.6g}, bin width {binwidth:.6g})"
-            )
+        return min(0.5 * binwidth / max_rate, params.r / (50.0 * Vs))
+    if grid.dt * max_rate >= binwidth:
+        raise ConfigError(
+            f"dt={grid.dt}: a defender can cross a whole bin per tick "
+            f"(max rate {max_rate:.6g}, bin width {binwidth:.6g})"
+        )
+    return grid.dt
+
+
+def _check_ticks(
+    params: ScenarioParams, grid: SimConfig, mode: str,
+    sweeps: Sequence[_Planned], repeats: int, dt: float,
+) -> None:
+    """Refuse a run of the sweeps, played `repeats` times over, that would
+    step more than MAX_TICKS ticks, or where bins * n * (ticks of its
+    longest sweep) reaches 2**63 and _crossings' int64 ranking key would
+    overflow."""
     counts = [n_full + (rest > 0.0) for n_full, rest in (_ticks(p.duration, dt) for p in sweeps)]
     ticks, longest = repeats * sum(counts), max(counts)
-    mode_flag = "--cycles" if mode == "defense" else "--max-sweeps"
     # past the limits in one sweep, no --cycles or --max-sweeps can help
     alone = longest > MAX_TICKS or grid.bins * params.n * longest >= 2**63
     if alone or ticks > MAX_TICKS:
-        flag = "--bins or change --Vs" if alone else mode_flag
+        flag = "--bins or change --Vs" if alone else _MODE_FLAG[mode]
         raise MaxIterations(
             f"{mode} run plans {ticks} ticks at dt={dt:.6g} ({longest} in its longest sweep, "
             f"{grid.bins} bins, n={params.n}); runs are limited to {MAX_TICKS} ticks and to "
             f"bins*n*(longest sweep ticks) below 2**63: lower {flag}"
         )
-    work = grid.bins * len(sweeps) * repeats
-    if work > MAX_TICKS:
-        raise MaxIterations(
-            f"{mode} run plans {len(sweeps) * repeats} sweeps over {grid.bins} bins, "
-            f"{work} bin updates; runs are limited to {MAX_TICKS}: lower --bins or {mode_flag}"
-        )
-    return dt
 
 
 class _Frontier:

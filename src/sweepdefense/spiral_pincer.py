@@ -111,12 +111,15 @@ def critical_speed_initial_guess(params: ScenarioParams) -> float:
         return params.VT * math.hypot(slope, 1.0)
 
 
+def sweep_balance(params: ScenarioParams, Vs: float, lam: float) -> float:
+    """Sweep loss minus sensor coverage, at R0, of a spiral whose sweep
+    contracts the sensor-centre radius by lam."""
+    return (params.R0 + params.r) * (1.0 - lam) - 2.0 * params.r * Vs / (Vs + params.VT)
+
+
 def _balance(params: ScenarioParams, Vs: float) -> float:
-    """Sweep loss minus sensor coverage; the critical speed is its root."""
-    lam = _contraction(params, Vs)
-    return (params.R0 + params.r) * (1.0 - lam) - 2.0 * params.r * Vs / (
-        Vs + params.VT
-    )
+    """The pincer's sweep balance; the critical speed is its root."""
+    return sweep_balance(params, Vs, _contraction(params, Vs))
 
 
 @memo.per_scene

@@ -532,6 +532,8 @@ class TestExitCodes:
             ("--protocol spiral-pincer --Vs 1.0036 --mode defense --bins 360", "--bins"),
             # 9.4e7 ticks, under the budget, but 6e9 bin updates: 8 min if it ran
             ("--n 128 --Vs 300 --mode defense --bins 1000000 --cycles 6000", "--bins"),
+            # 476 605 sweeps at 360 bins: counted, not listed, before it is refused
+            ("--n 2 --Vs 1e5 --mode expansion --bins 360", "--max-sweeps"),
         ],
     )
     def test_simulate_past_the_tick_budget_fails_at_once(self, capsys, argv, flag):

@@ -1,0 +1,100 @@
+"""Same bytes from the CLI: a fixed grid of commands, each pinned by hash.
+
+Each command runs in process through `cli.main`; its exit code, stdout
+and stderr are hashed together and compared with the sha256 recorded in
+`golden/same_bytes.json`. A refactor that is meant to change no number
+must leave every hash in place, and a failure names its command.
+
+The grid: the shipped configs; the four per-point analytic commands at
+delta-own speeds around each kind's critical speed; short simulator runs
+in both drive modes, below and above it; and a critical-speed table.
+
+After a change that is meant to move numbers, rewrite the hashes with
+
+    PYTHONPATH=src python tests/test_same_bytes.py
+
+and review the diff of `golden/same_bytes.json` in the same change.
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import itertools
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sweepdefense import cli
+
+REPO = Path(__file__).resolve().parent.parent
+HASHES = Path(__file__).resolve().parent / "golden" / "same_bytes.json"
+
+SHIPPED = {
+    "baseline-comparison": "totals",
+    "defense-speeds": "critical-speeds",
+    "expansion-times": "totals",
+    "reach-circular": "max-radius",
+    "reach-comparison": "max-radius",
+    "schedule-circular": "schedule",
+    "schedule-spiral": "schedule",
+    "simulate-circular": "simulate",
+    "simulate-spiral": "simulate",
+    "sweeps-circular": "sweep-count",
+    "sweeps-spiral": "sweep-count",
+}
+KINDS = ("circular-pincer", "spiral-pincer", "circular-same", "spiral-same")
+TEAMS = ("2", "8", "32")
+
+
+def commands():
+    """The batch's argvs, in a fixed order. Config paths are relative to
+    the repository root, where `run` resolves them."""
+    for name, command in SHIPPED.items():
+        yield [command, "--config", f"configs/{name}.cfg"]
+    speeds = ["--speed-mode", "delta-own", "--dV", "0,0.5,3,40", "--eps", "0.1,0.01"]
+    for command, kind, n in itertools.product(
+        ("max-radius", "sweep-count", "totals", "schedule"), KINDS, TEAMS
+    ):
+        yield [command, "--protocol", kind, "--n", n, *speeds]
+    for kind, n, mode, dV in itertools.product(
+        KINDS, TEAMS, ("defense", "expansion"), ("-0.5", "0.5", "3")
+    ):
+        yield [
+            "simulate", "--protocol", kind, "--n", n, "--speed-mode", "delta-own",
+            "--dV", dV, "--mode", mode, "--bins", "720", "--max-sweeps", "6",
+        ]
+    yield ["critical-speeds", "--n", "2:128:2"]
+
+
+def run(argv):
+    """sha256 of the exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = [str(REPO / a) if a.startswith("configs/") else a for a in argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@functools.cache
+def _expected():
+    return json.loads(HASHES.read_text())
+
+
+@pytest.mark.parametrize("argv", [" ".join(a) for a in commands()])
+def test_command_gives_its_recorded_bytes(argv):
+    assert run(argv.split()) == _expected()[argv], f"output of `sweepdefense {argv}` moved"
+
+
+def test_every_recorded_command_is_in_the_batch():
+    assert list(_expected()) == [" ".join(a) for a in commands()]
+
+
+if __name__ == "__main__":
+    hashes = {" ".join(a): run(a) for a in commands()}
+    HASHES.write_text(json.dumps(hashes, indent=1) + "\n")
+    combined = hashlib.sha256("".join(hashes.values()).encode()).hexdigest()
+    print(f"{len(hashes)} commands, combined {combined}", file=sys.stderr)

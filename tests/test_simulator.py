@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from sweepdefense import circular_pincer, protocols, same_direction, simulator, spiral_pincer
-from sweepdefense.errors import ConfigError, NoExpansion, SpeedTooLow, SubcriticalSpeed
+from sweepdefense.errors import (
+    ConfigError, MaxIterations, NoExpansion, SpeedTooLow, SubcriticalSpeed,
+)
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
 from sweepdefense.simulator import SimConfig
 
@@ -221,6 +223,19 @@ def traced_peak(run):
             tracemalloc.stop()
 
 
+def test_long_expansion_is_refused_before_its_schedule_is_listed():
+    # 476 605 sweeps at 360 bins go past the bin-update budget; the
+    # count comes from the expansion's totals, so no step is listed
+    grid = SimConfig(bins=360, mode="expansion")
+
+    def refused():
+        with pytest.raises(MaxIterations, match="476605 sweeps"):
+            simulator.run(make(), 1e5, CIRC, grid)
+
+    peak = traced_peak(refused)
+    assert peak < 5e6, f"the refusal peaked at {peak / 1e6:.1f} MB"
+
+
 class TestRepeatedShapes:
     """A run searches each sweep shape once and keeps at most two."""
 
@@ -280,7 +295,7 @@ class TestRepeatedShapes:
             grid = SimConfig(bins=360, mode="expansion", max_sweeps=max_sweeps)
             return traced_peak(lambda: simulator.run(p, Vs, kind, grid))
 
-        assert len(protocols.expansion(p, Vs, kind)[0]) >= 300
+        assert len(protocols.schedule(p, Vs, kind)) >= 300
         per_sweep = (peak(300) - peak(100)) / 200
         assert per_sweep < 2048, f"peak grows by {per_sweep:.0f} B per expansion sweep"
 
@@ -304,7 +319,7 @@ def test_defense_sweep_is_the_schedules_first():
 def peak_rates(params, Vs, kind):
     """Each schedule sweep's peak angular rate: a circular sensor turns at
     Vs/R_i, a spiral one fastest where it is innermost, at the sweep's end."""
-    steps, _ = protocols.expansion(params, Vs, kind)
+    steps = protocols.schedule(params, Vs, kind)
     if not protocols.is_spiral(kind):
         return [Vs / s.R_i for s in steps]
     lateral = math.sqrt(Vs * Vs - params.VT * params.VT)
