@@ -12,13 +12,19 @@ shift = 0), the spiral pincer on the sensor-centre radius
 (a = (1-lam)/VT, b = 2r, shift = r). The fixed point X* = b/(a*VT) gives
 the asymptote; the sweep count, the last radius and the campaign times
 follow in closed form. The schedule itself is produced by direct
-iteration, and the tests hold the two routes against each other.
+iteration, and the tests hold the two routes against each other. eps
+moves only where the iteration stops, so inside a `memo.command` one
+listing per recursion serves every eps a table plans: it runs to the
+farthest target, and each eps takes its first steps, up to its own.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from collections import deque
+from dataclasses import dataclass, replace
+from itertools import islice, repeat
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
+from . import memo
 from .errors import InvalidParam, MaxIterations, NoExpansion, SubcriticalSpeed
 from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioParams
 
@@ -48,6 +54,18 @@ def expansion_target(params: ScenarioParams, R_asym: float) -> float:
     if R_target <= params.R0:
         raise NoExpansion(f"eps={params.eps} leaves no expansion target above R0={params.R0}")
     return R_target
+
+
+def step_list(cells: Iterable[Tuple]) -> List[ExpansionStep]:
+    """One ExpansionStep per tuple of cells, without _make's length check
+    per step: every producer yields all seven fields."""
+    return list(map(tuple.__new__, repeat(ExpansionStep), cells))
+
+
+def prefix(steps: List[ExpansionStep], count: int) -> List[ExpansionStep]:
+    """The first count steps of a listing: the list itself, uncopied,
+    when it holds no more."""
+    return steps if count >= len(steps) else steps[:count]
 
 
 def check_finite(radius: float, Vs: float) -> float:
@@ -110,14 +128,19 @@ class AffineRecursion:
     def target(self) -> float:
         return expansion_target(self.params, self.asymptote)
 
-    def _steps(self, R_target: float) -> Iterator[Tuple]:
+    def _steps(self, R_targets: Sequence[float], ends: list) -> Iterator[Tuple]:
         """The cells of each sweep's ExpansionStep, in field order, until X
-        reaches the target. A sweep that leaves X unchanged short of the
-        target fails at once: every later sweep would repeat it."""
+        reaches the last of the rising targets. ends gets one entry per
+        target: the count of sweeps that reaches it, or the MaxIterations
+        of a run that stops short of it. A sweep that leaves X unchanged
+        short of a target stops the run at once, as every later sweep would
+        repeat it; the sweep cap stops it too."""
         a_num, a_den, b, shift = self.a_num, self.a_den, self.b, self.shift
         VT, Vs = self.params.VT, self.Vs
         closing = Vs + VT
-        X, X_target = self.params.R0 + shift, R_target + shift
+        X = self.params.R0 + shift
+        X_targets = [R_target + shift for R_target in R_targets]
+        X_target = X_targets[0]
         for i in range(ITERATION_CAP):
             T = X * a_num / a_den  # sweep_time(X), without the call
             delta = b - VT * T
@@ -125,15 +148,22 @@ class AffineRecursion:
             yield i, X - shift, X if shift else None, delta, delta_eff, T, delta_eff / Vs
             X_next = X + delta_eff
             if X_next >= X_target:
-                return
+                reached = sum(t <= X_next for t in X_targets)
+                ends += [i + 1] * (reached - len(ends))
+                if reached == len(X_targets):
+                    return
+                X_target = X_targets[reached]
             if X_next == X:
-                raise MaxIterations(
-                    f"the radius stalls at R={X - shift} short of R_target={R_target}"
-                )
+                ends += [
+                    MaxIterations(f"the radius stalls at R={X - shift} short of R_target={R}")
+                    for R in R_targets[len(ends):]
+                ]
+                return
             X = X_next
-        raise MaxIterations(
-            f"no convergence to R_target={R_target} within {ITERATION_CAP} sweeps"
-        )
+        ends += [
+            MaxIterations(f"no convergence to R_target={R} within {ITERATION_CAP} sweeps")
+            for R in R_targets[len(ends):]
+        ]
 
     def closed_count(self) -> float:
         """The real sweep count of the closed form; the count is its ceiling."""
@@ -155,7 +185,11 @@ class AffineRecursion:
             (1.0 - self._c2()) * self.params.eps > FLOOR_GUARD * math.ulp(self.fixed_point)
         ):
             return N
-        return sum(1 for _ in self._steps(R_target))
+        ends: list = []
+        deque(self._steps((R_target,), ends), maxlen=0)
+        if isinstance(ends[0], MaxIterations):
+            raise ends[0]
+        return ends[0]
 
     def sweep_count(self) -> int:
         """Sweeps needed to push the boundary to within eps of the asymptote."""
@@ -163,12 +197,56 @@ class AffineRecursion:
 
     def schedule(self) -> List[ExpansionStep]:
         """Per-sweep log of the expansion, by direct iteration. Fails at
-        once when the count says the run would exceed ITERATION_CAP."""
-        R_target = self.target()
-        N = self._count(R_target)
-        if N > ITERATION_CAP:
-            raise MaxIterations(f"schedule needs {N} sweeps, more than {ITERATION_CAP}")
-        return list(map(ExpansionStep._make, self._steps(R_target)))
+        once when the count says the run would exceed ITERATION_CAP.
+
+        Inside a memo.command, the eps values the command plans share one
+        listing to the farthest target, and each eps takes the steps up to
+        its own: the very steps, and failures, that its own run gives.
+        """
+        self.target()  # NoExpansion here, as _schedules leaves such an eps out
+        params = self.params
+        # the listing is a function of the recursion and R0 alone
+        key = ("affine.schedule", params.R0, params.VT, self.Vs, self.a_num, self.a_den, self.b,
+               self.shift)
+        return memo.per_gap(key, params.eps, self._schedules)
+
+    def _schedules(self, gaps) -> Dict[float, Union[List[ExpansionStep], MaxIterations]]:
+        """The schedule for each eps in gaps, or the MaxIterations its run
+        raises, from one listing; an eps whose target is not above R0 is
+        left out."""
+        out: Dict[float, Union[List[ExpansionStep], MaxIterations]] = {}
+        targets: Dict[float, float] = {}
+        for eps in gaps:
+            run = replace(self, params=replace(self.params, eps=eps))
+            try:
+                R_target = run.target()
+            except NoExpansion:
+                continue
+            try:
+                N = run._count(R_target)
+                if N > ITERATION_CAP:
+                    raise MaxIterations(f"schedule needs {N} sweeps, more than {ITERATION_CAP}")
+            except MaxIterations as exc:
+                out[eps] = exc
+                continue
+            targets[eps] = R_target
+        if targets:
+            rising = sorted(set(targets.values()))
+            ends: list = []
+            steps = step_list(self._steps(rising, ends))
+            for eps, R_target in targets.items():
+                end = ends[rising.index(R_target)]
+                out[eps] = end if isinstance(end, MaxIterations) else prefix(steps, end)
+        return out
+
+    def first_steps(self, sweeps: int) -> List[ExpansionStep]:
+        """The schedule's first sweeps steps, or all of a shorter one,
+        listed without the rest: a failure past them is not met."""
+        ends: list = []
+        steps = step_list(islice(self._steps((self.target(),), ends), sweeps))
+        if ends and isinstance(ends[0], MaxIterations):
+            raise ends[0]
+        return steps
 
     def totals(self) -> ProtocolSummary:
         """Campaign summary from closed forms alone.

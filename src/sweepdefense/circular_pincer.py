@@ -91,6 +91,11 @@ def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]
     ]
 
 
+def first_steps(params: ScenarioParams, Vs: float, sweeps: int) -> List[ExpansionStep]:
+    """The expansion schedule's first sweeps steps, listed without the rest."""
+    return _expanding(params, Vs).first_steps(sweeps)
+
+
 def totals(params: ScenarioParams, Vs: float) -> ProtocolSummary:
     """Campaign summary from closed forms alone; the outward time
     telescopes to n*r/(2*pi*VT) - (R0+eps)/Vs."""

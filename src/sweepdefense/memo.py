@@ -2,12 +2,14 @@
 
 A table evaluates the same maths at many grid points. A critical speed
 depends on (R0, r, VT, n) only, an asymptote on those and Vs, and eps
-moves only where a same-direction expansion stops along one shared
-sequence of sweeps. Inside ``command()`` these are computed once:
+moves only where an expansion stops along one shared sequence of
+sweeps. Inside ``command()`` these are computed once:
 
 - ``per_scene`` functions answer each (R0, r, VT, n, *args) once;
 - ``per_gap`` runs one pass for all the stop gaps a table plans for one
-  expansion and hands each gap its own result when that gap is asked for.
+  expansion and hands each gap its own result when that gap is asked for:
+  the same-direction totals share one run of sweeps, and every kind's
+  schedule one listing, cut at each gap's own target.
 
 Outside ``command()`` nothing is kept and every function computes afresh,
 a pure function of its arguments. The scope is a context variable, so a
@@ -69,7 +71,9 @@ def per_scene(fn: Callable) -> Callable:
 
 
 def per_gap(key: tuple, eps: float, compute: Callable[[set], Dict[float, object]]):
-    """compute({eps})[eps], where compute(gaps) gives one result per gap.
+    """compute({eps})[eps], where compute(gaps) gives one result per gap;
+    a result that is an exception is raised instead, so a failure found
+    for one gap is raised only when that gap is asked for.
 
     Inside a command, the first ask for key computes every planned gap
     with it at once; each other gap's result is kept until that gap is
@@ -78,12 +82,15 @@ def per_gap(key: tuple, eps: float, compute: Callable[[set], Dict[float, object]
     """
     scope = _SCOPE.get()
     if scope is None:
-        return compute({eps})[eps]
-    values = scope.values
-    results = values.get(key)
-    if results is None or eps not in results:
-        results = values[key] = compute({eps, *scope.gaps})
-    value = results.pop(eps)
-    if not results:
-        del values[key]
+        value = compute({eps})[eps]
+    else:
+        values = scope.values
+        results = values.get(key)
+        if results is None or eps not in results:
+            results = values[key] = compute({eps, *scope.gaps})
+        value = results.pop(eps)
+        if not results:
+            del values[key]
+    if isinstance(value, Exception):
+        raise value
     return value

@@ -1,10 +1,11 @@
 """Which functions answer for each protocol kind.
 
 The CLI and the simulator ask this module for a kind's critical speed,
-asymptote, totals, schedule, sweep sector and duration from a radius,
-and whether it is a pincer or a spiral. The pincer kinds are answered
-by their own modules, the same-direction kinds by `same_direction`; each
-call looks the function up on its module when it is made.
+asymptote, totals, schedule or its first steps, sweep sector and
+duration from a radius, and whether it is a pincer or a spiral. The
+pincer kinds are answered by their own modules, the same-direction kinds
+by `same_direction`; each call looks the function up on its module when
+it is made.
 """
 
 import math
@@ -53,10 +54,23 @@ def totals(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> ProtocolSum
 
 
 def schedule(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> List[ExpansionStep]:
+    """The kind's expansion schedule; inside a memo.command, one listing
+    per (kind, n, Vs) serves every eps the command plans."""
     pincer = _PINCERS.get(kind)
     if pincer is None:
         return same_direction.expansion_schedule_same(params, Vs, kind)[0]
     return pincer.expansion_schedule(params, Vs)
+
+
+def first_steps(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, sweeps: int
+) -> List[ExpansionStep]:
+    """The schedule's first sweeps steps, the very steps schedule lists,
+    without listing the rest."""
+    pincer = _PINCERS.get(kind)
+    if pincer is None:
+        return same_direction.first_steps_same(params, Vs, kind, sweeps)
+    return pincer.first_steps(params, Vs, sweeps)
 
 
 def sweep(params: ScenarioParams, Vs: float, kind: ProtocolKind, R: float) -> Tuple[float, float]:

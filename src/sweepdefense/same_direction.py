@@ -27,18 +27,21 @@ short of its target fails at once, as the cap would end it.
 eps moves only where an expansion stops, so inside a `memo.command` the
 eps values a table plans share one loop per (kind, n, Vs): the first of
 them runs it to the farthest target and every eps takes its sums over
-its own prefix, in the order a run of its own adds them. The critical
-speed and the spiral asymptote are solved once per command as well.
+its own prefix, in the order a run of its own adds them, and its steps
+as the first of the farthest eps's steps. The critical speed and the
+spiral asymptote are solved once per command as well; the asymptote's
+bisection computes the R-free factors of lam(R) once for all its probes.
 """
 
 import math
 from dataclasses import replace
 from itertools import accumulate, count, islice, repeat
-from typing import Dict, List, Sequence, Tuple, Union
+from operator import truediv
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
 from .affine import ITERATION_CAP as _ITERATION_CAP
-from .affine import AffineRecursion, check_finite, check_speed, expansion_target
+from .affine import AffineRecursion, check_finite, check_speed, expansion_target, prefix, step_list
 from .circular_pincer import critical_speed as _circular_pincer_speed
 from .errors import InvalidParam, MaxIterations, NoExpansion
 from .rootfind import RootProblem, solve_widening
@@ -65,9 +68,20 @@ def guard_angle(params: ScenarioParams, Vs: float, R: float) -> float:
     return math.asin(2.0 * params.r * Vs / ((Vs + params.VT) * (R + 2.0 * params.r)))
 
 
+def _lam_at(
+    R: float, sector: float, two_r: float, two_r_Vs: float, closing: float, VT: float,
+    lateral: float, Vs: float,
+) -> float:
+    """lam of a same-direction spiral sweep from radius R, given the factors
+    that do not move with R: the sector 2*pi/n, 2r, 2r*Vs, Vs + VT, VT and
+    lateral_speed(Vs, VT). The span is the sector plus the guard angle."""
+    span = sector + math.asin(two_r_Vs / (closing * (R + two_r)))
+    return checked_contraction(math.exp(-span * VT / lateral), Vs)
+
+
 def _spiral_same_lam(params: ScenarioParams, Vs: float, R: float) -> float:
-    span = _TWO_PI / params.n + guard_angle(params, Vs, R)
-    return checked_contraction(math.exp(-span * params.VT / lateral_speed(Vs, params.VT)), Vs)
+    VT, two_r = params.VT, 2.0 * params.r
+    return _lam_at(R, _TWO_PI / params.n, two_r, two_r * Vs, Vs + VT, VT, lateral_speed(Vs, VT), Vs)
 
 
 @memo.per_scene
@@ -102,19 +116,21 @@ def _spiral_same_asymptote(params: ScenarioParams, Vs: float) -> float:
     The budget 2r - (R+r)*(1-lam(R)) falls with R; bisect between R0 and
     the (larger) pincer asymptote, where it is already negative.
     """
-
-    def budget(R: float) -> float:
-        return 2.0 * params.r - (R + params.r) * (1.0 - _spiral_same_lam(params, Vs, R))
-
+    VT, r = params.VT, params.r
+    two_r = 2.0 * r
     lam_pincer = _spiral_pincer_contraction(params, Vs)
-    lo, hi = params.R0, 2.0 * params.r / (1.0 - lam_pincer) - params.r
+    # lam's factors that do not move with R, once for every probe
+    sector, two_r_Vs, closing = _TWO_PI / params.n, two_r * Vs, Vs + VT
+    lateral = lateral_speed(Vs, VT)
+    lo, hi = params.R0, two_r / (1.0 - lam_pincer) - r
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             # the bracket can now only stay or collapse onto mid, so the
             # remaining steps would all end on this same midpoint
             break
-        if budget(mid) > 0.0:
+        lam = _lam_at(mid, sector, two_r, two_r_Vs, closing, VT, lateral, Vs)
+        if two_r - (mid + r) * (1.0 - lam) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -172,10 +188,14 @@ def _check_circular_count(params: ScenarioParams, Vs: float) -> None:
         )
 
 
-def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Sequence[float]):
+def _iterate(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Sequence[float],
+    limit: Optional[int] = None,
+):
     """Sweep times and effective budgets, one entry per sweep until the
-    radius reaches the last of the rising targets; and, for each target
-    it reaches, the sweep count and the last sweep-start radius.
+    radius reaches the last of the rising targets, or for limit sweeps at
+    most; and, for each target it reaches, the sweep count and the last
+    sweep-start radius.
 
     A target is not reached within the sweep cap, nor past a radius that
     a sweep leaves unchanged: every later sweep would repeat that one.
@@ -195,7 +215,7 @@ def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Seq
     ends: List[Tuple[int, float]] = []
     R_target = targets[0]
     R = params.R0
-    for _ in range(_ITERATION_CAP):
+    for _ in range(_ITERATION_CAP if limit is None else limit):
         if spiral:
             # the guard angle, hence lam, follows the sweep-start radius
             span = sector + math.asin(two_r_Vs / (closing * (R + two_r)))
@@ -222,10 +242,6 @@ def _iterate(params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Seq
     return T_list, eff_list, ends
 
 
-def _cap_message() -> str:
-    return f"schedule exceeded {_ITERATION_CAP} sweeps"
-
-
 def _summary(
     Vs: float, R_asym: float, R_target: float, N: int, R_last: float, T_list, eff_list
 ) -> ProtocolSummary:
@@ -233,7 +249,7 @@ def _summary(
     entries alone, in the order a run of N sweeps adds them."""
     T_out_last = (R_target - R_last) / Vs
     T_sweep_total = sum(islice(T_list, N))
-    T_out_total = sum(e / Vs for e in islice(eff_list, N - 1)) + T_out_last
+    T_out_total = sum(map(truediv, islice(eff_list, N - 1), repeat(Vs))) + T_out_last
     return ProtocolSummary(
         N_n=N,
         R_last=R_last,
@@ -246,14 +262,36 @@ def _summary(
     )
 
 
+def _steps(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, T_list, eff_list, N: int
+) -> List[ExpansionStep]:
+    """The first N steps of the run whose sweep times and effective budgets
+    are T_list and eff_list. The radii and raw budgets the loop did not
+    keep come from the same float operations: R_{i+1} = R_i + delta_eff_i,
+    delta_i = b - VT*T_i."""
+    R_list = list(accumulate(islice(eff_list, N - 1), initial=params.R0))
+    if kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
+        b = 2.0 * params.r
+        Rtilde = [R + params.r for R in R_list]
+    else:
+        b = params.r
+        Rtilde = repeat(None)
+    VT = params.VT
+    delta_list = [b - VT * T for T in islice(T_list, N)]
+    T_out = map(truediv, eff_list, repeat(Vs))
+    # each step's cells in field order, one iterable per column
+    return step_list(zip(count(), R_list, Rtilde, delta_list, eff_list, T_list, T_out))
+
+
 def _summaries(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, R_asym: float, gaps
-) -> Dict[float, Union[ProtocolSummary, str]]:
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, R_asym: float, gaps, listed: bool
+) -> Dict[float, object]:
     """The summary of the expansion to R_asym - eps for each eps in gaps,
-    from one run of sweeps to the farthest target. An eps whose run would
-    fail gets the message of its MaxIterations instead; one whose target
-    is not above R0 is left out."""
-    out: Dict[float, Union[ProtocolSummary, str]] = {}
+    with its steps in front when listed, from one run of sweeps to the
+    farthest target; a nearer eps takes a prefix of the farthest one's
+    steps. An eps whose run would fail gets its MaxIterations instead; one
+    whose target is not above R0 is left out."""
+    out: Dict[float, object] = {}
     targets: Dict[float, float] = {}
     for eps in gaps:
         R_target = R_asym - eps
@@ -263,20 +301,35 @@ def _summaries(
             try:
                 _check_circular_count(replace(params, eps=eps), Vs)
             except MaxIterations as exc:
-                out[eps] = str(exc)
+                out[eps] = exc
                 continue
         targets[eps] = R_target
     if targets:
         rising = sorted(set(targets.values()))
         T_list, eff_list, ends = _iterate(params, Vs, kind, rising)
+        if listed and ends:
+            steps = _steps(params, Vs, kind, T_list, eff_list, ends[-1][0])
         for eps, R_target in targets.items():
             k = rising.index(R_target)
-            out[eps] = (
-                _summary(Vs, R_asym, R_target, *ends[k], T_list, eff_list)
-                if k < len(ends)
-                else _cap_message()
-            )
+            if k >= len(ends):
+                out[eps] = MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
+                continue
+            N, R_last = ends[k]
+            summary = _summary(Vs, R_asym, R_target, N, R_last, T_list, eff_list)
+            out[eps] = (prefix(steps, N), summary) if listed else summary
     return out
+
+
+def _shared(params: ScenarioParams, Vs: float, kind: ProtocolKind, listed: bool):
+    """The summary, with its steps in front when listed, of the expansion
+    to params.eps; inside a memo.command the eps values the command plans
+    share one run of sweeps per (kind, n, Vs)."""
+    R_asym, _ = _targets(params, Vs, kind)
+    return memo.per_gap(
+        ("same_direction", listed, kind, params.R0, params.r, params.VT, params.n, Vs),
+        params.eps,
+        lambda gaps: _summaries(params, Vs, kind, R_asym, gaps, listed),
+    )
 
 
 def totals_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> ProtocolSummary:
@@ -286,15 +339,7 @@ def totals_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> Protoc
     Inside a memo.command, the eps values the command plans share one run
     of sweeps per (kind, n, Vs); every result is the one its own run gives.
     """
-    R_asym, _ = _targets(params, Vs, kind)
-    outcome = memo.per_gap(
-        ("same_direction.totals_same", kind, params.R0, params.r, params.VT, params.n, Vs),
-        params.eps,
-        lambda gaps: _summaries(params, Vs, kind, R_asym, gaps),
-    )
-    if isinstance(outcome, str):
-        raise MaxIterations(outcome)
-    return outcome
+    return _shared(params, Vs, kind, listed=False)
 
 
 def expansion_schedule_same(
@@ -304,27 +349,19 @@ def expansion_schedule_same(
 
     Everything is produced by direct iteration and summation; the guard
     angle of the spiral variant is re-evaluated at every sweep-start
-    radius, so its contraction factor changes from step to step.
+    radius, so its contraction factor changes from step to step. Inside a
+    memo.command, the eps values the command plans share one run of
+    sweeps per (kind, n, Vs), and a nearer eps's steps are the first of
+    the farthest one's: every result is the one its own run gives.
     """
-    R_asym, R_target = _targets(params, Vs, kind)
-    if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
-        _check_circular_count(params, Vs)
-    T_list, eff_list, ends = _iterate(params, Vs, kind, (R_target,))
-    if not ends:
-        raise MaxIterations(_cap_message())
-    N, R_last = ends[0]
-    # the radii and raw budgets the loop did not keep, by the same float
-    # operations: R_{i+1} = R_i + delta_eff_i, delta_i = b - VT*T_i
-    R_list = list(accumulate(islice(eff_list, N - 1), initial=params.R0))
-    if kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
-        b = 2.0 * params.r
-        Rtilde = [R + params.r for R in R_list]
-    else:
-        b = params.r
-        Rtilde = repeat(None)
-    delta_list = [b - params.VT * T for T in T_list]
-    T_out = [delta_eff / Vs for delta_eff in eff_list]
-    # each step's cells in field order, one list per column
-    cells = zip(count(), R_list, Rtilde, delta_list, eff_list, T_list, T_out)
-    steps = list(map(ExpansionStep._make, cells))
-    return steps, _summary(Vs, R_asym, R_target, N, R_last, T_list, eff_list)
+    return _shared(params, Vs, kind, listed=True)
+
+
+def first_steps_same(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, sweeps: int
+) -> List[ExpansionStep]:
+    """The schedule's first sweeps steps, from a run of sweeps stopped
+    there, or all of a shorter schedule."""
+    _, R_target = _targets(params, Vs, kind)
+    T_list, eff_list, _ = _iterate(params, Vs, kind, (R_target,), sweeps)
+    return _steps(params, Vs, kind, T_list, eff_list, len(T_list))

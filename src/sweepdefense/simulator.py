@@ -262,8 +262,8 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
     dt comes from the first sweep (protocols.sweep from R0), then bins *
     (sweeps played) is held to MAX_TICKS, with the sweep count of an
     expansion taken from its totals; only then are the played sweeps
-    listed and their ticks counted. _phases builds each phase, with its
-    motion, when the run reaches it.
+    listed, and no step past them, and their ticks counted. _phases
+    builds each phase, with its motion, when the run reaches it.
 
     An expansion plays the analytic schedule once, open loop, cut to
     max_sweeps; the last advance stops at the target unless the schedule
@@ -301,9 +301,9 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
             f"updates; runs are limited to {MAX_TICKS}: lower --bins or {_MODE_FLAG[mode]}"
         )
     if mode == "expansion":
-        steps = protocols.schedule(params, Vs, kind)
-        sweeps = [_Planned(s.R_i, s.T_sweep_i, s.T_out_i) for s in steps[: grid.max_sweeps]]
-        if len(sweeps) == len(steps):
+        steps = protocols.first_steps(params, Vs, kind, played)
+        sweeps = [_Planned(s.R_i, s.T_sweep_i, s.T_out_i) for s in steps]
+        if played == summary.N_n:
             sweeps[-1] = sweeps[-1]._replace(advance=summary.T_out_last)
     else:
         advance = 2.0 * params.r / (Vs + params.VT) if protocols.is_spiral(kind) else None

@@ -197,6 +197,11 @@ def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]
     return _sensor_centre(params, Vs).schedule()
 
 
+def first_steps(params: ScenarioParams, Vs: float, sweeps: int) -> List[ExpansionStep]:
+    """The expansion schedule's first sweeps steps, listed without the rest."""
+    return _sensor_centre(params, Vs).first_steps(sweeps)
+
+
 def totals(params: ScenarioParams, Vs: float) -> ProtocolSummary:
     """Campaign summary from closed forms alone, over Rtilde; the outward
     time telescopes to (R_max - R0)/Vs."""

@@ -1,8 +1,9 @@
 """What one command computes once: same bytes, less work, bounded memory.
 
 `cli.main` runs each command inside `memo.command`, where critical
-speeds and asymptotes are solved once per scenario and the eps values of
-one same-direction expansion share one run of sweeps. The reference for
+speeds and asymptotes are solved once per scenario, the eps values of
+one same-direction expansion share one run of sweeps, and those of one
+schedule share one listing. The reference for
 every table here is the same command with the scope replaced by a no-op:
 per-point library calls, each computing afresh.
 """
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sweepdefense import cli, memo, protocols, rootfind, same_direction, spiral_pincer
+from sweepdefense import affine, cli, memo, protocols, rootfind, same_direction, spiral_pincer
+from sweepdefense.affine import AffineRecursion
+from sweepdefense.errors import MaxIterations
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
 
 PROTOCOLS = tuple(k.value for k in ProtocolKind)
@@ -154,6 +157,61 @@ class TestWork:
         spiral_pincer.critical_speed(params)
         assert len(solved) == 2
 
+    def test_each_schedule_is_listed_once_for_every_eps(self, monkeypatch):
+        steps, iterate = AffineRecursion._steps, same_direction._iterate
+        runs = []
+
+        def counted_steps(self, R_targets, ends):
+            runs.append(("pincer", len(R_targets)))
+            return steps(self, R_targets, ends)
+
+        def counted_runs(params, Vs, kind, targets, limit=None):
+            runs.append(("same", len(targets)))
+            return iterate(params, Vs, kind, targets, limit)
+
+        monkeypatch.setattr(AffineRecursion, "_steps", counted_steps)
+        monkeypatch.setattr(same_direction, "_iterate", counted_runs)
+        argv = ["schedule", "--protocol", ",".join(PROTOCOLS), "--n", "2,4",
+                "--eps", "0.1,0.05,0.01", "--speed-mode", "delta-own", "--dV", "1,5"]
+        rc, out, _, _ = run(argv)
+        assert rc == 0 and out.count(",ok\n") > 48
+        # one listing per kind, n and speed, to all three eps
+        assert runs == [("pincer", 3)] * 8 + [("same", 3)] * 8
+        # outside a command every call lists again
+        runs.clear()
+        params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
+        Vs = protocols.CRITICAL[ProtocolKind.SPIRAL_PINCER](params) + 1.0
+        protocols.schedule(params, Vs, ProtocolKind.SPIRAL_PINCER)
+        protocols.schedule(params, Vs, ProtocolKind.SPIRAL_PINCER)
+        assert runs == [("pincer", 1)] * 2
+
+    def test_a_schedule_grid_holds_no_more_than_its_table(self):
+        # the steps of a nearer eps are the farther eps's own, so the whole
+        # grid holds little more than its farthest eps alone; meanwhile
+        # nothing but the table's own steps is kept for long
+        scene = ["--R0", "100", "--r", "1", "--n", "2", "--protocol", ",".join(PROTOCOLS),
+                 "--speed-mode", "delta-own"]
+
+        def traced(*argv):
+            """The table, what it holds at the end, and the traced peak
+            above that."""
+            tracemalloc.start()
+            try:
+                table = schedule_table(*scene, *argv)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return table, held, peak - held
+
+        speeds = ["--dV", "0.01:0.1:0.01"]
+        table, held, transient = traced("--eps", "1e-3,1e-6", *speeds)
+        near_rows = sum(len(body) for _, body, _ in blocks(table)[:40])
+        assert sum(len(body) for _, body, _ in blocks(table)[40:]) > 20_000
+        _, far_held, far_transient = traced("--eps", "1e-6", *speeds)
+        # a nearer eps costs a list slot per step, not a step
+        assert held - far_held <= 16 * near_rows + 100_000, (held, far_held, near_rows)
+        assert transient <= 2 * far_transient, (transient, far_transient)
+
     def test_a_speed_grid_keeps_one_run_of_sweeps(self):
         # eps runs outside speed: a memo keeping each speed's sweeps until
         # its next eps would hold 200 of them at once
@@ -179,3 +237,122 @@ class TestWork:
         assert N > 1000
         _, alone = transient("--protocol", protocol, "--eps", repr(eps), "--Vs", repr(Vs))
         assert grid <= 2 * alone, (grid, alone)
+
+
+def schedule_table(*argv):
+    """The schedule table of argv, built in process inside its command."""
+    cfg = cli.build_config(cli.build_parser().parse_args(["schedule", *argv]))
+    with memo.command(cfg.eps):
+        return cli.cmd_schedule(cfg)
+
+
+def blocks(table):
+    """The table's blocks that hold rows: one per grid point."""
+    return [block for block in table.blocks if block[1]]
+
+
+class TestSharedListing:
+    """A schedule's eps values share one listing, cut at each eps's target."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("n", ["2", "8", "32"])
+    def test_each_eps_block_is_its_own_run(self, protocol, n):
+        # 1e4 leaves no target above R0 (NoExpansion rows); the rest are
+        # nearer and farther targets, in drawn order
+        gaps = ["0.3", "1e4", "1e-3", "0.05"]
+        scene = ["--protocol", protocol, "--n", n, "--speed-mode", "delta-own",
+                 "--dV", "0,0.5,3,40"]
+        shared = blocks(schedule_table(*scene, "--eps", ",".join(gaps)))
+        alone = [block for eps in gaps for block in blocks(schedule_table(*scene, "--eps", eps))]
+        assert shared == alone
+        statuses = {block[2][-1] if block[2] else block[1][0][-1] for block in alone}
+        assert statuses == {"ok", "NoExpansion"}
+
+    def test_a_nearer_eps_holds_the_farther_ones_steps(self):
+        table = schedule_table("--protocol", ",".join(PROTOCOLS), "--n", "4", "--eps", "0.1,0.001",
+                               "--Vs", "60")
+        near, far = blocks(table)[0::2], blocks(table)[1::2]
+        for (_, steps, _), (_, longer, _) in zip(near, far):
+            assert 0 < len(steps) < len(longer)
+            assert all(a is b for a, b in zip(steps, longer))
+
+    @pytest.mark.parametrize("order", ["falling", "rising"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_run_past_the_sweep_cap_fails_at_its_own_grid_point(self, monkeypatch, order, protocol):
+        kind = ProtocolKind(protocol)
+        near, far, none = 1.0, 1e-6, 1e4
+        Vc = protocols.CRITICAL[kind](ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=4, eps=near))
+
+        def count(eps, dV):
+            params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=4, eps=eps)
+            return protocols.totals(params, Vc + dV, kind).N_n
+
+        cap = max(count(near, 3.0), count(near, 3.5))
+        assert cap < count(far, 3.0)
+        # the near targets fit under the cap, the far ones do not
+        monkeypatch.setattr(affine, "ITERATION_CAP", cap)
+        monkeypatch.setattr(same_direction, "_ITERATION_CAP", cap)
+
+        def argv_at(*gaps):
+            return ["schedule", "--protocol", protocol, "--n", "4", "--eps", ",".join(map(repr, gaps)),
+                    "--speed-mode", "delta-own", "--dV", "3,3.5"]
+
+        argv = argv_at(none, near, far) if order == "falling" else argv_at(far, near, none)
+        listed = []
+        schedule = protocols.schedule
+
+        def recorded(params, Vs, kind):
+            try:
+                steps = schedule(params, Vs, kind)
+            except Exception as exc:
+                listed.append((params.eps, Vs, type(exc).__name__))
+                raise
+            listed.append((params.eps, Vs, len(steps)))
+            return steps
+
+        monkeypatch.setattr(protocols, "schedule", recorded)
+        got = run(argv)
+        got_listed, listed[:] = listed[:], []
+        assert got == run_unscoped(argv)
+        assert got_listed == listed
+        rc, out, err, _ = got
+        assert rc == 2 and out == ""
+        # the message the far eps's own run gives
+        assert err == run(argv_at(far))[2]
+        assert str(cap) in err
+        # falling: NoExpansion, then both speeds at the near gap, then the
+        # far gap's first point
+        points = [(none, Vc + 3.0), (none, Vc + 3.5), (near, Vc + 3.0), (near, Vc + 3.5)]
+        head = points if order == "falling" else []
+        assert [entry[:2] for entry in got_listed] == head + [(far, Vc + 3.0)]
+        assert got_listed[-1][2] == "MaxIterations"
+
+
+@pytest.mark.parametrize("shift", [0.0, 10.0])
+def test_one_listing_cuts_each_target_where_its_own_run_ends(monkeypatch, shift):
+    # a target beyond the asymptote is never reached: the radius stalls,
+    # and the nearer targets keep the steps their own runs list
+    params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=4, eps=0.1)
+    recursion = AffineRecursion(params, 40.0, a_num=2.0, a_den=40.0, b=20.0, shift=shift)
+    asym = recursion.asymptote
+    targets = [asym - 1.0, asym - 1e-3, asym + 1.0, asym + 2.0]
+
+    def listing(rising):
+        ends = []
+        return list(recursion._steps(rising, ends)), ends
+
+    steps, ends = listing(targets)
+    for target, end in zip(targets, ends):
+        alone, (own,) = listing([target])
+        if isinstance(end, MaxIterations):
+            assert "stalls" in str(end) and str(end) == str(own)
+            assert alone == steps
+        else:
+            assert (end, alone) == (own, steps[:end])
+    assert [type(end) for end in ends] == [int, int, MaxIterations, MaxIterations]
+    # the cap stops a run as the stall does, with its own message per target
+    monkeypatch.setattr(affine, "ITERATION_CAP", ends[1])
+    steps, ends = listing(targets[1:])
+    assert len(steps) == ends[0] and all(isinstance(end, MaxIterations) for end in ends[1:])
+    assert [str(end) for end in ends[1:]] == [str(listing([t])[1][0]) for t in targets[2:]]
+    assert "no convergence" in str(ends[1])

@@ -7,7 +7,9 @@ must leave every hash in place, and a failure names its command.
 
 The grid: the shipped configs; the four per-point analytic commands at
 delta-own speeds around each kind's critical speed; short simulator runs
-in both drive modes, below and above it; and a critical-speed table.
+in both drive modes, below and above it; a critical-speed table; and
+schedules at several eps, one of which leaves no target above R0 and,
+in some, one that a run cannot reach (exit 2), before or after the rest.
 
 After a change that is meant to move numbers, rewrite the hashes with
 
@@ -67,6 +69,9 @@ def commands():
             "--dV", dV, "--mode", mode, "--bins", "720", "--max-sweeps", "6",
         ]
     yield ["critical-speeds", "--n", "2:128:2"]
+    for kind, gaps in itertools.product(KINDS, ("0.3,1e4,1e-3", "0.3,1e4,1e-14", "1e-14,0.3")):
+        yield ["schedule", "--protocol", kind, "--n", "8", "--speed-mode", "delta-own",
+               "--dV", "0.5,3", "--eps", gaps]
 
 
 def run(argv):

@@ -236,6 +236,46 @@ def test_long_expansion_is_refused_before_its_schedule_is_listed():
     assert peak < 5e6, f"the refusal peaked at {peak / 1e6:.1f} MB"
 
 
+def test_capped_expansion_lists_only_its_played_sweeps():
+    # 1 534 748 sweeps, of which max_sweeps plays 2: a plan that listed the
+    # whole schedule first would peak at hundreds of MB
+    grid = SimConfig(bins=360, mode="expansion", max_sweeps=2)
+    reps = []
+    peak = traced_peak(lambda: reps.append(simulator.run(make(), 3e5, CIRC, grid)))
+    assert peak < 5e6, f"the capped run peaked at {peak / 1e6:.1f} MB"
+    assert circular_pincer.totals(make(), 3e5).N_n == 1_534_748
+    assert [s.index for s in reps[0].sweeps] == [0, 1]
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_first_steps_are_the_schedules_prefix(kind, n):
+    # the steps a capped expansion plays are its schedule's, to the bit
+    p = make(n=n, eps=0.01)
+    Vs = protocols.CRITICAL[kind](p) + 3.0
+    steps = protocols.schedule(p, Vs, kind)
+    N = len(steps)
+    for sweeps in sorted({1, 2, N // 2 or 1, N - 1 or 1, N, N + 5}):
+        assert protocols.first_steps(p, Vs, kind, sweeps) == steps[:sweeps], sweeps
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("max_sweeps", [1, 3, None])
+def test_a_capped_plan_plays_the_schedules_first_sweeps(kind, max_sweeps):
+    p = make(n=4, eps=1.0)
+    Vs = protocols.CRITICAL[kind](p) + 2.0
+    steps = protocols.schedule(p, Vs, kind)
+    grid = SimConfig(bins=360, mode="expansion", max_sweeps=max_sweeps)
+    planned = simulator._plan(p, Vs, kind, grid)[1]
+    played = steps[:max_sweeps]
+    assert [(s.anchor, s.duration) for s in planned] == [(s.R_i, s.T_sweep_i) for s in played]
+    advances = [s.T_out_i for s in played]
+    if max_sweeps is None:
+        # the last advance stops at the target
+        advances[-1] = protocols.totals(p, Vs, kind).T_out_last
+    assert [s.advance for s in planned] == advances
+
+
 class TestRepeatedShapes:
     """A run searches each sweep shape once and keeps at most two."""
 

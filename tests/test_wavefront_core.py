@@ -5,11 +5,10 @@ hits, then let each defender clear what its sensor swept. The library
 finds crossing ticks by search and decays lazily instead. Both replay the
 same phases, built here with the simulator's own planner, so breaches must
 agree exactly (count, kind, bin, tick time) and every radius to within
-1e-9 * R0. The golden tables pin the shipped simulate configs as they
-stood under the tick loop.
+1e-9 * R0. The golden tables pin the shipped simulate configs byte for
+byte.
 """
 
-import csv
 import math
 from pathlib import Path
 
@@ -173,30 +172,14 @@ def test_integer_radius_runs_like_a_float_one():
     assert len(got.breaches) == len(want.breaches) == 0
 
 
-def read_table(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
 @pytest.mark.parametrize("name", ["simulate-circular", "simulate-spiral"])
 def test_simulate_tables_match_golden(tmp_path, name):
+    # byte for byte: a tolerance would let a margin that is rounding noise
+    # (about 7e-13 on the spiral run) drift unseen
     out = tmp_path / f"{name}.csv"
     rc = cli.main(["simulate", "--config", str(ROOT / "configs" / f"{name}.cfg"), "--out", str(out)])
     assert rc == 0
-    got, want = read_table(out), read_table(GOLDEN / f"{name}.csv")
-    assert len(got) == len(want)
-    assert list(got[0]) == list(want[0])
-    for row, gold in zip(got, want):
-        for col, value in gold.items():
-            try:
-                expected = float(value)
-            except ValueError:
-                assert row[col] == value, col
-                continue
-            if col in ("n", "bins", "index", "breaches"):
-                assert row[col] == value, col
-            else:
-                assert float(row[col]) == pytest.approx(expected, rel=1e-8, abs=1e-9), col
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
