@@ -9,7 +9,10 @@ The grid: the shipped configs; the four per-point analytic commands at
 delta-own speeds around each kind's critical speed; short simulator runs
 in both drive modes, below and above it; a critical-speed table; and
 schedules at several eps, one of which leaves no target above R0 and,
-in some, one that a run cannot reach (exit 2), before or after the rest.
+in some, one that a run cannot reach (exit 2), before or after the rest;
+totals and sweep counts at an eps so small that the radius stalls short
+of its target (exit 2); one full, uncapped simulated expansion per kind;
+and one simulator run each at an odd bin count and at a given tick.
 
 After a change that is meant to move numbers, rewrite the hashes with
 
@@ -72,6 +75,17 @@ def commands():
     for kind, gaps in itertools.product(KINDS, ("0.3,1e4,1e-3", "0.3,1e4,1e-14", "1e-14,0.3")):
         yield ["schedule", "--protocol", kind, "--n", "8", "--speed-mode", "delta-own",
                "--dV", "0.5,3", "--eps", gaps]
+    for command, kind in itertools.product(("totals", "sweep-count"), KINDS):
+        yield [command, "--protocol", kind, "--n", "4", "--speed-mode", "delta-own", "--dV", "20",
+               "--eps", "1e-14"]
+    for kind in KINDS:
+        # the last sweep's advance stops at the target, T_out_last
+        yield ["simulate", "--protocol", kind, "--n", "8", "--speed-mode", "delta-own", "--dV", "3",
+               "--mode", "expansion", "--bins", "360", "--eps", "20"]
+    yield ["simulate", "--protocol", "spiral-same", "--n", "8", "--speed-mode", "delta-own", "--dV", "3",
+           "--mode", "expansion", "--bins", "3601", "--max-sweeps", "2"]
+    yield ["simulate", "--protocol", "circular-pincer", "--n", "8", "--speed-mode", "delta-own", "--dV", "3",
+           "--mode", "expansion", "--bins", "720", "--max-sweeps", "3", "--dt", "0.01"]
 
 
 def run(argv):
