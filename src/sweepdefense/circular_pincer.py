@@ -44,7 +44,8 @@ def _ring(params: ScenarioParams, Vs: float) -> Tuple[AffineRecursion, bool]:
     return ring, Vs == Vc
 
 
-def _expanding(params: ScenarioParams, Vs: float) -> AffineRecursion:
+def expansion(params: ScenarioParams, Vs: float) -> AffineRecursion:
+    """The ring recursion of an expansion at Vs; NoExpansion at Vc."""
     ring, at_critical = _ring(params, Vs)
     if at_critical:
         raise NoExpansion("at the critical speed the ring never grows")
@@ -64,7 +65,7 @@ def max_radius(params: ScenarioParams, Vs: float) -> float:
 
 def sweep_count(params: ScenarioParams, Vs: float) -> int:
     """Number of sweeps needed to push the ring to within eps of its limit."""
-    return _expanding(params, Vs).sweep_count()
+    return expansion(params, Vs).sweep_count()
 
 
 def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]:
@@ -91,12 +92,7 @@ def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]
     ]
 
 
-def first_steps(params: ScenarioParams, Vs: float, sweeps: int) -> List[ExpansionStep]:
-    """The expansion schedule's first sweeps steps, listed without the rest."""
-    return _expanding(params, Vs).first_steps(sweeps)
-
-
 def totals(params: ScenarioParams, Vs: float) -> ProtocolSummary:
     """Campaign summary from closed forms alone; the outward time
     telescopes to n*r/(2*pi*VT) - (R0+eps)/Vs."""
-    return _expanding(params, Vs).totals()
+    return expansion(params, Vs).totals()

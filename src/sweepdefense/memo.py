@@ -8,8 +8,8 @@ sweeps. Inside ``command()`` these are computed once:
 - ``per_scene`` functions answer each (R0, r, VT, n, *args) once;
 - ``per_gap`` runs one pass for all the stop gaps a table plans for one
   expansion and hands each gap its own result when that gap is asked for:
-  the same-direction totals share one run of sweeps, and every kind's
-  schedule one listing, cut at each gap's own target.
+  every kind's schedule and the same-direction totals share one run of
+  `affine.run`, cut at each gap's own target by `affine.per_eps`.
 
 Outside ``command()`` nothing is kept and every function computes afresh,
 a pure function of its arguments. The scope is a context variable, so a
@@ -70,10 +70,10 @@ def per_scene(fn: Callable) -> Callable:
     return memoized
 
 
-def per_gap(key: tuple, eps: float, compute: Callable[[set], Dict[float, object]]):
-    """compute({eps})[eps], where compute(gaps) gives one result per gap;
-    a result that is an exception is raised instead, so a failure found
-    for one gap is raised only when that gap is asked for.
+def per_gap(key: tuple, eps: float, compute: Callable[..., Dict[float, object]], *args):
+    """compute({eps}, *args)[eps], where compute(gaps, *args) gives one
+    result per gap; a result that is an exception is raised instead, so a
+    failure found for one gap is raised only when that gap is asked for.
 
     Inside a command, the first ask for key computes every planned gap
     with it at once; each other gap's result is kept until that gap is
@@ -82,12 +82,12 @@ def per_gap(key: tuple, eps: float, compute: Callable[[set], Dict[float, object]
     """
     scope = _SCOPE.get()
     if scope is None:
-        value = compute({eps})[eps]
+        value = compute({eps}, *args)[eps]
     else:
         values = scope.values
         results = values.get(key)
         if results is None or eps not in results:
-            results = values[key] = compute({eps, *scope.gaps})
+            results = values[key] = compute({eps, *scope.gaps}, *args)
         value = results.pop(eps)
         if not results:
             del values[key]

@@ -11,7 +11,7 @@ it is made.
 import math
 from typing import Callable, Dict, List, Tuple
 
-from . import circular_pincer, same_direction, spiral_pincer
+from . import affine, circular_pincer, same_direction, spiral_pincer
 from .scenario import ExpansionStep, ProtocolKind, ProtocolSummary, ScenarioParams
 
 _TWO_PI = 2.0 * math.pi
@@ -66,11 +66,11 @@ def first_steps(
     params: ScenarioParams, Vs: float, kind: ProtocolKind, sweeps: int
 ) -> List[ExpansionStep]:
     """The schedule's first sweeps steps, the very steps schedule lists,
-    without listing the rest."""
+    from a run of the one expansion loop stopped there."""
     pincer = _PINCERS.get(kind)
     if pincer is None:
-        return same_direction.first_steps_same(params, Vs, kind, sweeps)
-    return pincer.first_steps(params, Vs, sweeps)
+        return affine.first_steps(same_direction.expansion(params, Vs, kind), sweeps)
+    return affine.first_steps(pincer.expansion(params, Vs), sweeps)
 
 
 def sweep(params: ScenarioParams, Vs: float, kind: ProtocolKind, R: float) -> Tuple[float, float]:

@@ -18,14 +18,16 @@ r = 10, VT = 1). Their summaries come from direct summation only;
 no closed forms are claimed. The asymptote needs no iteration (a printed
 formula for circular, a bisection of the spiral budget), so
 `max_radius_same` answers from it alone; `totals_same` and
-`expansion_schedule_same` share one plain-float loop over the sweeps.
-The circular loop is the affine pincer recursion with a smaller budget,
-so a circular expansion whose closed-form count is past the sweep cap
-fails before the loop runs. A run whose radius a sweep leaves unchanged
+`expansion_schedule_same` run their sweeps through `affine.run`, the one
+loop of every kind, and take their steps and sums from `affine.per_eps`.
+An expansion whose `sweep_bound` puts its count past the sweep cap fails
+before the loop runs: the circular loop is the affine pincer recursion
+with a smaller budget, so its count has a closed form, and the spiral
+count has a lower bound. A run whose radius a sweep leaves unchanged
 short of its target fails at once, as the cap would end it.
 
 eps moves only where an expansion stops, so inside a `memo.command` the
-eps values a table plans share one loop per (kind, n, Vs): the first of
+eps values a table plans share one run per (kind, n, Vs): the first of
 them runs it to the farthest target and every eps takes its sums over
 its own prefix, in the order a run of its own adds them, and its steps
 as the first of the farthest eps's steps. The critical speed and the
@@ -34,14 +36,11 @@ bisection computes the R-free factors of lam(R) once for all its probes.
 """
 
 import math
-from dataclasses import replace
-from itertools import accumulate, count, islice, repeat
-from operator import truediv
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import memo
 from .affine import ITERATION_CAP as _ITERATION_CAP
-from .affine import AffineRecursion, check_finite, check_speed, expansion_target, prefix, step_list
+from .affine import AffineRecursion, Sweeps, check_finite, check_speed, expansion_target, per_eps
 from .circular_pincer import critical_speed as _circular_pincer_speed
 from .errors import InvalidParam, MaxIterations, NoExpansion
 from .rootfind import RootProblem, solve_widening
@@ -137,9 +136,77 @@ def _spiral_same_asymptote(params: ScenarioParams, Vs: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _targets(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> Tuple[float, float]:
-    """(R_asym, R_target) of a same-direction expansion, or the domain
-    error that rules the expansion out."""
+class _Expansion(NamedTuple):
+    """A same-direction expansion, as affine.per_eps and affine.first_steps run it."""
+
+    params: ScenarioParams
+    Vs: float
+    kind: ProtocolKind
+    asymptote: float
+
+    @property
+    def sweeps(self) -> Sweeps:
+        params, Vs = self.params, self.Vs
+        n, r, VT = params.n, params.r, params.VT
+        if self.kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
+            guard = (r, _TWO_PI / n, lateral_speed(Vs, VT))
+            return Sweeps(params.R0, 0.0, 2.0 * r, VT, Vs, guard=guard)
+        # the sector plus one sensor half-length of overlap, at Vs
+        return Sweeps(params.R0, 0.0, r, VT, Vs, _TWO_PI, n, r, Vs)
+
+    @property
+    def cap(self) -> int:
+        return _ITERATION_CAP
+
+    def target(self) -> float:
+        return expansion_target(self.params, self.asymptote)
+
+    def check(self, eps: float, R_target: float) -> None:
+        """MaxIterations when sweep_bound puts the run to eps past the cap
+        by more than a rounding; below that the loop decides."""
+        x = self.sweep_bound(eps)
+        if x > _ITERATION_CAP + 1:
+            raise MaxIterations(
+                f"the expansion needs about {math.ceil(x)} sweeps, more than {_ITERATION_CAP}"
+            )
+
+    def sweep_bound(self, eps: float) -> float:
+        """A count of sweeps that the loop's run to R_asym - eps cannot
+        undercut by a whole sweep, found without running it.
+
+        The circular sweep time (2*pi*R/n + r)/Vs leaves the budget
+        r*(Vs-VT)/Vs - VT*a*R with a = 2*pi/(n*Vs): the affine pincer
+        recursion with that b, whose fixed point is R_asym, counts the
+        sweeps in closed form, up to a rounding.
+
+        The spiral loop's budget b - (R+r)*(1-lam(R)) has its root at
+        R_asym, and 1-lam(R) falls as R grows. So a sweep from R < R_asym
+        advances by at most (R_asym - R)*(1-lam(R0))*Vs/(Vs+VT): the gap to
+        R_asym shrinks by the factor c = 1 - (1-lam(R0))*Vs/(Vs+VT) at most,
+        and closing it to eps takes at least log(eps/(R_asym - R0))/log(c)
+        sweeps, whatever b is.
+        """
+        params, Vs = self.params, self.Vs
+        if self.kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
+            ring = AffineRecursion(
+                params, Vs, a_num=_TWO_PI, a_den=params.n * Vs,
+                b=params.r * (Vs - params.VT) / Vs, shift=0.0,
+            )
+            return ring.closed_count(eps)
+        shed = (1.0 - _spiral_same_lam(params, Vs, params.R0)) * Vs / (Vs + params.VT)
+        # log1p: the factor c can round to 1 at speeds far above VT
+        return math.log(eps / (self.asymptote - params.R0)) / math.log1p(-shed)
+
+    def shortfall(self, stall: Optional[float], R_target: float) -> MaxIterations:
+        return MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
+
+
+def max_radius_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> float:
+    """Asymptotic radius of a same-direction expansion, without iterating it.
+
+    Raises the same domain errors as the schedule, so a grid point gets
+    the same status from either.
+    """
     if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
         Vc = circular_same_critical_speed(params)
         check_speed(Vs, Vc, "circular same-direction")
@@ -155,181 +222,28 @@ def _targets(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> Tuple[flo
         raise InvalidParam(
             "kind", f"expected a same-direction protocol kind, got {kind}"
         )
-    return R_asym, expansion_target(params, R_asym)
+    expansion_target(params, R_asym)
+    return R_asym
 
 
-def max_radius_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> float:
-    """Asymptotic radius of a same-direction expansion, without iterating it.
-
-    Raises the same domain errors as the schedule, so a grid point gets
-    the same status from either.
-    """
-    return _targets(params, Vs, kind)[0]
-
-
-def _check_circular_count(params: ScenarioParams, Vs: float) -> None:
-    """MaxIterations at once when the circular loop would run past the cap.
-
-    The circular sweep time (2*pi*R/n + r)/Vs leaves the budget
-    r*(Vs-VT)/Vs - VT*a*R with a = 2*pi/(n*Vs): the affine pincer
-    recursion with that b, whose fixed point is R_asym, counts the sweeps
-    in closed form. Its count and the loop's may part by a rounding, so
-    only a count more than one past the cap is refused; below that the
-    loop decides.
-    """
-    ring = AffineRecursion(
-        params, Vs, a_num=_TWO_PI, a_den=params.n * Vs,
-        b=params.r * (Vs - params.VT) / Vs, shift=0.0,
-    )
-    x = ring.closed_count()
-    if x > _ITERATION_CAP + 1:
-        raise MaxIterations(
-            f"the expansion needs about {math.ceil(x)} sweeps, more than {_ITERATION_CAP}"
-        )
-
-
-def _iterate(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, targets: Sequence[float],
-    limit: Optional[int] = None,
-):
-    """Sweep times and effective budgets, one entry per sweep until the
-    radius reaches the last of the rising targets, or for limit sweeps at
-    most; and, for each target it reaches, the sweep count and the last
-    sweep-start radius.
-
-    A target is not reached within the sweep cap, nor past a radius that
-    a sweep leaves unchanged: every later sweep would repeat that one.
-    Plain floats only; the invariant factors are hoisted, every per-sweep
-    expression keeps the evaluation order of the step formulas.
-    """
-    n, r, VT = params.n, params.r, params.VT
-    spiral = kind is ProtocolKind.SPIRAL_SAME_DIRECTION
-    closing = Vs + VT
-    if spiral:
-        sector = _TWO_PI / n
-        two_r = 2.0 * r
-        two_r_Vs = two_r * Vs
-        lateral = lateral_speed(Vs, VT)
-    T_list: List[float] = []
-    eff_list: List[float] = []
-    ends: List[Tuple[int, float]] = []
-    R_target = targets[0]
-    R = params.R0
-    for _ in range(_ITERATION_CAP if limit is None else limit):
-        if spiral:
-            # the guard angle, hence lam, follows the sweep-start radius
-            span = sector + math.asin(two_r_Vs / (closing * (R + two_r)))
-            lam = math.exp(-span * VT / lateral)
-            T = (R + r) * (1.0 - lam) / VT
-            delta = two_r - VT * T
-        else:
-            # the sector plus one sensor half-length of overlap
-            T = (_TWO_PI * R / n + r) / Vs
-            delta = r - VT * T
-        delta_eff = delta * Vs / closing
-        T_list.append(T)
-        eff_list.append(delta_eff)
-        R_next = R + delta_eff
-        if R_next >= R_target:
-            reached = sum(t <= R_next for t in targets)
-            ends += [(len(T_list), R)] * (reached - len(ends))
-            if reached == len(targets):
-                break
-            R_target = targets[reached]
-        elif R_next == R:
-            break  # below R_target for good
-        R = R_next
-    return T_list, eff_list, ends
-
-
-def _summary(
-    Vs: float, R_asym: float, R_target: float, N: int, R_last: float, T_list, eff_list
-) -> ProtocolSummary:
-    """The summary of the first N sweeps; the sums run over the first N
-    entries alone, in the order a run of N sweeps adds them."""
-    T_out_last = (R_target - R_last) / Vs
-    T_sweep_total = sum(islice(T_list, N))
-    T_out_total = sum(map(truediv, islice(eff_list, N - 1), repeat(Vs))) + T_out_last
-    return ProtocolSummary(
-        N_n=N,
-        R_last=R_last,
-        R_max=R_target,
-        R_asym=R_asym,
-        T_out_total=T_out_total,
-        T_sweep_total=T_sweep_total,
-        T_total=T_sweep_total + T_out_total,
-        T_out_last=T_out_last,
-    )
-
-
-def _steps(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, T_list, eff_list, N: int
-) -> List[ExpansionStep]:
-    """The first N steps of the run whose sweep times and effective budgets
-    are T_list and eff_list. The radii and raw budgets the loop did not
-    keep come from the same float operations: R_{i+1} = R_i + delta_eff_i,
-    delta_i = b - VT*T_i."""
-    R_list = list(accumulate(islice(eff_list, N - 1), initial=params.R0))
-    if kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
-        b = 2.0 * params.r
-        Rtilde = [R + params.r for R in R_list]
-    else:
-        b = params.r
-        Rtilde = repeat(None)
-    VT = params.VT
-    delta_list = [b - VT * T for T in islice(T_list, N)]
-    T_out = map(truediv, eff_list, repeat(Vs))
-    # each step's cells in field order, one iterable per column
-    return step_list(zip(count(), R_list, Rtilde, delta_list, eff_list, T_list, T_out))
-
-
-def _summaries(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, R_asym: float, gaps, listed: bool
-) -> Dict[float, object]:
-    """The summary of the expansion to R_asym - eps for each eps in gaps,
-    with its steps in front when listed, from one run of sweeps to the
-    farthest target; a nearer eps takes a prefix of the farthest one's
-    steps. An eps whose run would fail gets its MaxIterations instead; one
-    whose target is not above R0 is left out."""
-    out: Dict[float, object] = {}
-    targets: Dict[float, float] = {}
-    for eps in gaps:
-        R_target = R_asym - eps
-        if R_target <= params.R0:
-            continue
-        if kind is ProtocolKind.CIRCULAR_SAME_DIRECTION:
-            try:
-                _check_circular_count(replace(params, eps=eps), Vs)
-            except MaxIterations as exc:
-                out[eps] = exc
-                continue
-        targets[eps] = R_target
-    if targets:
-        rising = sorted(set(targets.values()))
-        T_list, eff_list, ends = _iterate(params, Vs, kind, rising)
-        if listed and ends:
-            steps = _steps(params, Vs, kind, T_list, eff_list, ends[-1][0])
-        for eps, R_target in targets.items():
-            k = rising.index(R_target)
-            if k >= len(ends):
-                out[eps] = MaxIterations(f"schedule exceeded {_ITERATION_CAP} sweeps")
-                continue
-            N, R_last = ends[k]
-            summary = _summary(Vs, R_asym, R_target, N, R_last, T_list, eff_list)
-            out[eps] = (prefix(steps, N), summary) if listed else summary
-    return out
+def expansion(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> _Expansion:
+    """The same-direction expansion at Vs, or the error that rules it out."""
+    return _Expansion(params, Vs, kind, max_radius_same(params, Vs, kind))
 
 
 def _shared(params: ScenarioParams, Vs: float, kind: ProtocolKind, listed: bool):
     """The summary, with its steps in front when listed, of the expansion
     to params.eps; inside a memo.command the eps values the command plans
     share one run of sweeps per (kind, n, Vs)."""
-    R_asym, _ = _targets(params, Vs, kind)
     return memo.per_gap(
         ("same_direction", listed, kind, params.R0, params.r, params.VT, params.n, Vs),
-        params.eps,
-        lambda gaps: _summaries(params, Vs, kind, R_asym, gaps, listed),
+        params.eps, _cut, params, Vs, kind, max_radius_same(params, Vs, kind), listed,
     )
+
+
+def _cut(gaps, params: ScenarioParams, Vs: float, kind: ProtocolKind, R_asym: float, listed: bool):
+    # the expansion is built only when a run is made, not at every grid point
+    return per_eps(gaps, _Expansion(params, Vs, kind, R_asym), listed, True)
 
 
 def totals_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> ProtocolSummary:
@@ -355,13 +269,3 @@ def expansion_schedule_same(
     the farthest one's: every result is the one its own run gives.
     """
     return _shared(params, Vs, kind, listed=True)
-
-
-def first_steps_same(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, sweeps: int
-) -> List[ExpansionStep]:
-    """The schedule's first sweeps steps, from a run of sweeps stopped
-    there, or all of a shorter schedule."""
-    _, R_target = _targets(params, Vs, kind)
-    T_list, eff_list, _ = _iterate(params, Vs, kind, (R_target,), sweeps)
-    return _steps(params, Vs, kind, T_list, eff_list, len(T_list))

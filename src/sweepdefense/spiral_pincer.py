@@ -144,7 +144,7 @@ def critical_speed(params: ScenarioParams) -> float:
     return solve_widening(problem, "spiral critical speed")
 
 
-def _sensor_centre(params: ScenarioParams, Vs: float) -> AffineRecursion:
+def expansion(params: ScenarioParams, Vs: float) -> AffineRecursion:
     """The sensor-centre recursion, once Vs is checked against the
     critical speed: a sweep at Rtilde takes Rtilde*(1-lam)/VT."""
     affine.check_speed(Vs, critical_speed(params), "spiral pincer")
@@ -160,7 +160,7 @@ def _sensor_centre(params: ScenarioParams, Vs: float) -> AffineRecursion:
 
 def coeffs(params: ScenarioParams, Vs: float) -> RecursionCoeffs:
     """Coefficients of Rtilde_{i+1} = c2*Rtilde_i + c1."""
-    return _sensor_centre(params, Vs).coeffs()
+    return expansion(params, Vs).coeffs()
 
 
 def max_radius(params: ScenarioParams, Vs: float) -> float:
@@ -169,7 +169,7 @@ def max_radius(params: ScenarioParams, Vs: float) -> float:
     This is the fixed point the expansion actually converges to; see
     max_radius_alternative for a published variant.
     """
-    return _sensor_centre(params, Vs).asymptote
+    return expansion(params, Vs).asymptote
 
 
 def max_radius_alternative(params: ScenarioParams, Vs: float) -> float:
@@ -178,13 +178,13 @@ def max_radius_alternative(params: ScenarioParams, Vs: float) -> float:
     Differs from max_radius by a factor Vs/(Vs+VT) on the leading term and
     is exposed for comparison only; no schedule or total uses it.
     """
-    one_minus_lam = _sensor_centre(params, Vs).a_num
+    one_minus_lam = expansion(params, Vs).a_num
     return 2.0 * params.r * Vs / (one_minus_lam * (Vs + params.VT)) - params.r
 
 
 def sweep_count(params: ScenarioParams, Vs: float) -> int:
     """Sweeps needed to push the boundary to within eps of the asymptote."""
-    return _sensor_centre(params, Vs).sweep_count()
+    return expansion(params, Vs).sweep_count()
 
 
 def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]:
@@ -194,15 +194,10 @@ def expansion_schedule(params: ScenarioParams, Vs: float) -> List[ExpansionStep]
     critical speed: the balance there still leaves delta_0 = 2r*VT/(Vs+VT)
     of budget, so the schedule is always a genuine expansion.
     """
-    return _sensor_centre(params, Vs).schedule()
-
-
-def first_steps(params: ScenarioParams, Vs: float, sweeps: int) -> List[ExpansionStep]:
-    """The expansion schedule's first sweeps steps, listed without the rest."""
-    return _sensor_centre(params, Vs).first_steps(sweeps)
+    return expansion(params, Vs).schedule()
 
 
 def totals(params: ScenarioParams, Vs: float) -> ProtocolSummary:
     """Campaign summary from closed forms alone, over Rtilde; the outward
     time telescopes to (R_max - R0)/Vs."""
-    return _sensor_centre(params, Vs).totals()
+    return expansion(params, Vs).totals()

@@ -1,16 +1,20 @@
 """The affine recursion both pincer protocols share: sweep cap, failures at
-extreme speeds, and the coefficients each protocol hands to it."""
+extreme speeds, and the coefficients each protocol hands to it; and the
+one expansion loop every protocol runs."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from sweepdefense import (
     InvalidParam,
     MaxIterations,
+    ProtocolKind,
     ScenarioParams,
     affine,
     circular_pincer,
+    protocols,
     spiral_pincer,
     validate,
 )
@@ -140,3 +144,35 @@ def test_count_totals_and_schedule_agree_down_to_the_floor(mod, n, Vs, monkeypat
             assert (total, listed) == (count, want), f"eps={eps}"
         else:
             assert count == total == listed, f"eps={eps}"
+
+
+def test_a_count_through_the_iteration_keeps_no_sweep():
+    # the last advance is within FLOOR_GUARD ulps of the fixed point, so
+    # the count is iterated: 2.8e5 sweeps until the radius stalls. Kept,
+    # their times and budgets would take about 18 MB
+    params = make(n=2, eps=1e-8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MaxIterations, match="the radius stalls"):
+            circular_pincer.sweep_count(params, 3e4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+def test_first_steps_of_a_stalled_run_fail_as_its_schedule_does(kind):
+    # eps is below the rounding of R near the asymptote: the radius stalls
+    # a few hundred sweeps in
+    params = make(eps=1e-14)
+    Vs = protocols.CRITICAL[kind](params) + 20.0
+    with pytest.raises(MaxIterations) as failed:
+        protocols.schedule(params, Vs, kind)
+    with pytest.raises(MaxIterations) as listed:
+        protocols.first_steps(params, Vs, kind, 10_000)
+    assert str(listed.value) == str(failed.value)
+    # sweeps before the stall are listed without meeting it
+    first = protocols.first_steps(params, Vs, kind, 9)
+    assert protocols.first_steps(params, Vs, kind, 5) == first[:5]
+    assert protocols.first_steps(params, Vs, kind, 0) == []

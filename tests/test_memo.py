@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sweepdefense import affine, cli, memo, protocols, rootfind, same_direction, spiral_pincer
-from sweepdefense.affine import AffineRecursion
+from sweepdefense import (
+    affine, circular_pincer, cli, memo, protocols, rootfind, same_direction, spiral_pincer,
+)
 from sweepdefense.errors import MaxIterations
 from sweepdefense.scenario import ProtocolKind, ScenarioParams
 
@@ -127,21 +128,27 @@ class TestSameBytes:
         assert len(calls) == (3 if order == "falling" else 1)
 
 
+def is_same_direction(sweeps):
+    """Whether a run of the one loop is a same-direction kind's: only those
+    add an overlap to the sweep time or guard an extra angle."""
+    return bool(sweeps.overlap or sweeps.guard)
+
+
 class TestWork:
     def test_each_spiral_root_is_solved_once(self, monkeypatch):
-        solve, iterate = rootfind.solve, same_direction._iterate
+        solve, loop = rootfind.solve, affine.run
         solved, runs = [], []
 
         def counted(problem):
             solved.append(problem.bracket_lo)
             return solve(problem)
 
-        def counted_runs(params, Vs, kind, targets):
-            runs.append(len(targets))
-            return iterate(params, Vs, kind, targets)
+        def counted_runs(sweeps, R_targets, limit, keep=True):
+            runs.append(len(R_targets))
+            return loop(sweeps, R_targets, limit, keep)
 
         monkeypatch.setattr(rootfind, "solve", counted)
-        monkeypatch.setattr(same_direction, "_iterate", counted_runs)
+        monkeypatch.setattr(affine, "run", counted_runs)
         argv = ["totals", "--protocol", ",".join(PROTOCOLS), "--n", "2,4", "--eps", "0.1,0.01",
                 "--speed-mode", "delta-own", "--dV", "1,5"]
         rc, out, _, _ = run(argv)
@@ -158,19 +165,14 @@ class TestWork:
         assert len(solved) == 2
 
     def test_each_schedule_is_listed_once_for_every_eps(self, monkeypatch):
-        steps, iterate = AffineRecursion._steps, same_direction._iterate
+        loop = affine.run
         runs = []
 
-        def counted_steps(self, R_targets, ends):
-            runs.append(("pincer", len(R_targets)))
-            return steps(self, R_targets, ends)
+        def counted_runs(sweeps, R_targets, limit, keep=True):
+            runs.append(("same" if is_same_direction(sweeps) else "pincer", len(R_targets)))
+            return loop(sweeps, R_targets, limit, keep)
 
-        def counted_runs(params, Vs, kind, targets, limit=None):
-            runs.append(("same", len(targets)))
-            return iterate(params, Vs, kind, targets, limit)
-
-        monkeypatch.setattr(AffineRecursion, "_steps", counted_steps)
-        monkeypatch.setattr(same_direction, "_iterate", counted_runs)
+        monkeypatch.setattr(affine, "run", counted_runs)
         argv = ["schedule", "--protocol", ",".join(PROTOCOLS), "--n", "2,4",
                 "--eps", "0.1,0.05,0.01", "--speed-mode", "delta-own", "--dV", "1,5"]
         rc, out, _, _ = run(argv)
@@ -328,31 +330,45 @@ class TestSharedListing:
         assert got_listed[-1][2] == "MaxIterations"
 
 
-@pytest.mark.parametrize("shift", [0.0, 10.0])
-def test_one_listing_cuts_each_target_where_its_own_run_ends(monkeypatch, shift):
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_one_listing_cuts_each_target_where_its_own_run_ends(monkeypatch, protocol):
     # a target beyond the asymptote is never reached: the radius stalls,
     # and the nearer targets keep the steps their own runs list
+    kind = ProtocolKind(protocol)
     params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=4, eps=0.1)
-    recursion = AffineRecursion(params, 40.0, a_num=2.0, a_den=40.0, b=20.0, shift=shift)
-    asym = recursion.asymptote
+    Vs = protocols.CRITICAL[kind](params) + 3.0
+    if protocols.is_pincer(kind):
+        module = circular_pincer if kind is ProtocolKind.CIRCULAR_PINCER else spiral_pincer
+        expansion, cap = module.expansion(params, Vs), (affine, "ITERATION_CAP")
+        stalls, capped = "stalls", "no convergence"
+    else:
+        expansion = same_direction.expansion(params, Vs, kind)
+        cap = (same_direction, "_ITERATION_CAP")
+        stalls = capped = "schedule exceeded"
+    asym = expansion.asymptote
     targets = [asym - 1.0, asym - 1e-3, asym + 1.0, asym + 2.0]
 
     def listing(rising):
-        ends = []
-        return list(recursion._steps(rising, ends)), ends
+        """Every sweep of one run to the rising targets, and per target its
+        count of sweeps or its failure."""
+        sweeps = expansion.sweeps
+        T_list, eff_list, ends, stall = affine.run(sweeps, rising, expansion.cap)
+        failed = [expansion.shortfall(stall, R_target) for R_target in rising[len(ends):]]
+        return affine.steps(sweeps, T_list, eff_list, len(T_list)), [N for N, _ in ends] + failed
 
     steps, ends = listing(targets)
     for target, end in zip(targets, ends):
         alone, (own,) = listing([target])
         if isinstance(end, MaxIterations):
-            assert "stalls" in str(end) and str(end) == str(own)
+            assert stalls in str(end) and str(end) == str(own)
             assert alone == steps
         else:
             assert (end, alone) == (own, steps[:end])
     assert [type(end) for end in ends] == [int, int, MaxIterations, MaxIterations]
-    # the cap stops a run as the stall does, with its own message per target
-    monkeypatch.setattr(affine, "ITERATION_CAP", ends[1])
+    # the cap, read from the kind's own module, stops a run as the stall
+    # does, with its own message per target
+    monkeypatch.setattr(*cap, ends[1])
     steps, ends = listing(targets[1:])
     assert len(steps) == ends[0] and all(isinstance(end, MaxIterations) for end in ends[1:])
     assert [str(end) for end in ends[1:]] == [str(listing([t])[1][0]) for t in targets[2:]]
-    assert "no convergence" in str(ends[1])
+    assert capped in str(ends[1])

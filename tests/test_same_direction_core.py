@@ -8,6 +8,9 @@ library's hoisted loop, its early-exit bisection and the asymptote-only
 same domain errors at the same inputs.
 """
 
+import contextlib
+import io
+import itertools
 import math
 import random
 import time
@@ -21,6 +24,7 @@ from sweepdefense import (
     ProtocolSummary,
     ScenarioParams,
     SubcriticalSpeed,
+    cli,
     same_direction,
     validate,
 )
@@ -195,3 +199,42 @@ def test_a_stalled_run_fails_at_once(kind):
         with pytest.raises(MaxIterations, match=f"schedule exceeded {same_direction._ITERATION_CAP} sweeps"):
             fn(params, Vs, kind)
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["sweep-count", "totals", "schedule", "simulate"])
+def test_a_spiral_run_far_past_the_cap_is_refused_before_its_loop(command):
+    # about 6e8 sweeps: the lower bound on the count refuses the run at
+    # once, where the loop took seconds to meet the cap
+    if command == "simulate":
+        pytest.importorskip("numpy")
+    argv = [command, "--protocol", "spiral-same", "--Vs", "1e9"]
+    argv += ["--bins", "360"] if command == "simulate" else []
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("numerical failure: the expansion needs about ")
+
+
+@pytest.mark.parametrize("n", (2, 8, 32))
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_the_sweep_bound_stays_below_the_count(kind, n):
+    # the refusal above needs the bound to be less than one past the
+    # loop's count; the spiral bound is a strict lower bound, the circular
+    # one the closed form, which rounding may put just past the count
+    counted = 0
+    for offset, eps in itertools.product((1e-6, 0.5, 3.0, 40.0, 1e3), (1.0, 1e-3, 1e-9)):
+        params = make(n=n, eps=eps)
+        Vs = critical(params, kind) + offset
+        try:
+            N = same_direction.totals_same(params, Vs, kind).N_n
+        except (NoExpansion, MaxIterations):
+            continue  # no target above R0, or a radius that stalls: no count
+        counted += 1
+        bound = same_direction.expansion(params, Vs, kind).sweep_bound(eps)
+        assert bound < N + 1, (offset, eps, bound, N)
+        if kind is SPIR:
+            assert bound <= N, (offset, eps, bound, N)
+    assert counted >= 10
