@@ -2,12 +2,15 @@
 
 One table model, held in blocks of rows that share their first and last
 cells (a grid point's key and status), and two byte-stable encodings.
-Floats are cut to 9 significant digits in both: CSV through the format
-string, JSON by re-parsing the formatted value, so the two encodings
-carry identical numbers and repeated runs are byte-identical. Missing
-values (a blank cell in CSV, null in JSON) stand for fields a row
-legitimately lacks, like the spiral-only bookkeeping radius on circular
-rows.
+Blocks may share row objects too, as the eps of one schedule do; CSV
+formats and checks each distinct row of its many-row blocks once per
+render, and joins a block from its rows' texts between its key's and
+its status's text. Floats are cut to 9 significant digits in both
+encodings: CSV through the format string, JSON by re-parsing the
+formatted value, so the two encodings carry identical numbers and
+repeated runs are byte-identical. Missing values (a blank cell in CSV,
+null in JSON) stand for fields a row legitimately lacks, like the
+spiral-only bookkeeping radius on circular rows.
 """
 
 import csv
@@ -17,7 +20,8 @@ import math
 import operator
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from types import SimpleNamespace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError
 
@@ -85,61 +89,106 @@ class _Formats(dict):
         fmt = self[signature] = ",".join(map(_cell_format, signature))
         return fmt
 
+    def lines(self, rows: Iterable[Sequence[Cell]], cells: int) -> Optional[List[str]]:
+        """Each row's text, through one format; None if a column mixes
+        cell types (its signature comes out short of cells)."""
+        signature = tuple(t for column in zip(*rows) for t in set(map(type, column)))
+        if len(signature) != cells:
+            return None
+        return list(map(self[signature].__mod__, map(tuple, rows)))
+
+
+def _plain(text: str, lines: int, commas: int) -> bool:
+    """Whether text is written as is: `lines` lines and `commas` commas,
+    holding no quote, carriage return, or "nan" or "inf" (a non-finite
+    float is blank)."""
+    return (
+        text.count("\n") == lines - 1 and text.count(",") == commas
+        and "nan" not in text and "inf" not in text and '"' not in text and "\r" not in text
+    )
+
 
 def render_csv(table: Table) -> str:
     """CSV text, one line per row, written as the csv module writes it.
 
-    Each block's lines come from one % format string of cell formats
-    (FLOAT_FORMAT for a float, so for np.float64 too, "%.0s" for None,
-    "%s" otherwise), built once per tuple of cell types. A one-row block
-    is formatted as one whole row. A longer one needs one type per body
-    column; its head and tail are formatted once, %-escaped and spliced
-    into the row format, and its lines are joined in one pass. A block
-    whose text that format may get wrong goes row by row, cell by cell,
-    through csv.writer: text holding "nan" or "inf" (a non-finite float
-    is blank), a quote or a carriage return, more line breaks or commas
-    than its shape makes (a cell holding one), or one column (where an
-    empty line must be written as "").
+    Cells go through one % format string per tuple of cell types, built
+    once per call: FLOAT_FORMAT for a float, so for np.float64 too, "%.0s"
+    for None, "%s" otherwise. A one-row block is formatted as one whole
+    row. In a longer block the head is formatted once, with a comma after
+    it (H), and the tail once, with a comma before it (T); the block's
+    text is H + (T + "\n" + H).join(row texts) + T, where a row's text is
+    that of its body cells. Each distinct row object of such blocks is
+    formatted and checked once per call, by the first that holds it, and
+    its text kept by id() for the call, so blocks that share rows share
+    their text. The output is one join of all pieces at the end, cached
+    row texts among them, so no row text is copied before it.
+
+    A block whose text that format may get wrong goes row by row, cell by
+    cell, through csv.writer: a whole row, head, tail or newly formatted
+    row whose text holds "nan" or "inf", a quote or a carriage return, or
+    more line breaks or commas than its cells make (a cell holding one);
+    newly formatted rows with a column of mixed cell types; and every row
+    of a one-column table (where an empty line must be written as "").
     """
-    buf = io.StringIO()
-    write = buf.write
-    writer = csv.writer(buf, lineterminator="\n")
+    parts: List[str] = []
+    write = parts.append
+    writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
     isfinite = math.isfinite
     width = len(table.columns)
     formats = _Formats()
+    # a body row's id() -> its cells' text; every row stays alive in the
+    # table, so no id is reused while the call runs
+    texts: Dict[int, str] = {}
     header = ((), (table.columns,), ())
     for head, body, tail in chain((header,), table.blocks):
-        rows = len(body)
-        if rows == 1:
+        if not body:
+            continue
+        if len(body) == 1:
             row = (*head, *body[0], *tail)
             text = formats[tuple(map(type, row))] % row
-            one_line_each = "\n" not in text
-        else:
-            # a column of mixed types leaves the signature short
-            signature = tuple(t for column in zip(*body) for t in set(map(type, column)))
-            text = ""
-            if len(signature) == width - len(head) - len(tail):
-                fmt = formats[signature]
-                if head:
-                    fmt = (formats[tuple(map(type, head))] % tuple(head)).replace("%", "%%") + "," + fmt
-                if tail:
-                    fmt += "," + (formats[tuple(map(type, tail))] % tuple(tail)).replace("%", "%%")
-                text = "\n".join(map(fmt.__mod__, map(tuple, body)))
-            one_line_each = text.count("\n") == rows - 1
-        if (
-            one_line_each and text.count(",") == rows * (width - 1) and width > 1
-            and "nan" not in text and "inf" not in text and '"' not in text and "\r" not in text
-        ):
-            write(text)
-            write("\n")
-            continue
+            # _plain(text, 1, width - 1), inline: a call per row costs
+            # tables of one-row blocks a few percent
+            if (
+                width > 1 and text.count(",") == width - 1 and "\n" not in text
+                and "nan" not in text and "inf" not in text and '"' not in text and "\r" not in text
+            ):
+                write(text)
+                write("\n")
+                continue
+        elif width > 1:
+            cut = formats[tuple(map(type, head))] % tuple(head) + "," if head else ""
+            end = "," + formats[tuple(map(type, tail))] % tuple(tail) if tail else ""
+            cells = width - len(head) - len(tail)
+            keys = list(map(id, body))
+            if texts.keys().isdisjoint(keys):
+                new_keys, new = keys, body
+            else:
+                fresh = {key: row for key, row in zip(keys, body) if key not in texts}
+                new_keys, new = fresh.keys(), fresh.values()
+            lines = formats.lines(new, cells) if new else []
+            # H + T is checked as a line of its own: ",," where they meet,
+            # so no cell's text spans the two
+            if lines is not None and _plain(
+                "\n".join([cut + end, *lines]), 1 + len(lines), width - cells + len(lines) * (cells - 1)
+            ):
+                texts.update(zip(new_keys, lines))
+                if new is not body:
+                    lines = list(map(texts.__getitem__, keys))
+                # H, then each row's text and T + "\n" + H, the last of
+                # which becomes T + "\n"
+                write(cut)
+                pieces = [end + "\n" + cut] * (2 * len(lines))
+                pieces[::2] = lines
+                pieces[-1] = end + "\n"
+                parts += pieces
+                continue
         for row in body:
             writer.writerow([
                 (FLOAT_FORMAT % v if isfinite(v) else "") if isinstance(v, float)
                 else "" if v is None else str(v)
                 for v in (*head, *row, *tail)
             ])
-    return buf.getvalue()
+    return "".join(parts)
 
 
 def render_json(table: Table) -> str:

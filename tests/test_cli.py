@@ -394,6 +394,77 @@ class TestBlockTables:
         assert _json_or_error(table) == _json_or_error(Table(table.columns, rows))
 
 
+@st.composite
+def _shared_block_tables(draw):
+    # later blocks cut prefixes of one listing, the same row objects, under
+    # other heads and tails, some beside new rows of the same column kinds
+    width = draw(st.integers(min_value=1, max_value=5))
+    columns = draw(st.lists(_FIELD_TEXT | st.text(max_size=5), min_size=width, max_size=width))
+    cells = draw(st.integers(min_value=0, max_value=width))
+    kinds = [draw(st.sampled_from(_BODY_COLUMNS)) for _ in range(cells)]
+
+    def rows(size):
+        return [tuple(draw(kind) for kind in kinds) for _ in range(size)]
+
+    listing = rows(draw(st.integers(min_value=0, max_value=8)))
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        cut = draw(st.integers(min_value=0, max_value=len(listing)))
+        body = listing if cut == len(listing) and draw(st.booleans()) else listing[:cut]
+        body = body + rows(draw(st.sampled_from([0, 0, 1, 2])))
+        left = draw(st.integers(min_value=0, max_value=width - cells))
+        right = width - cells - left
+        head = tuple(draw(st.lists(_KEY_CELLS, min_size=left, max_size=left)))
+        tail = tuple(draw(st.lists(_KEY_CELLS, min_size=right, max_size=right)))
+        blocks.append((head, body, tail))
+    return _block_table(columns, *blocks)
+
+
+_LISTING = [(1.5, "x"), (2.5, "y"), (3.5, "z")]
+_NUMBERS = [(1.5,), (2.5,), (3.5,)]
+
+
+class TestSharedRows:
+    @given(_shared_block_tables())
+    @settings(max_examples=400, deadline=None)
+    # a shared row under a head that needs quoting, or a tail that is "nan"
+    @example(_block_table(
+        ["k", "x", "y", "t"],
+        (("a",), _LISTING, ("ok",)), ((",",), _LISTING[:2], ("ok",)),
+        (('"',), _LISTING, ("ok",)), (("b",), _LISTING[:2], ("nan",)),
+    ))
+    # shared rows beside new rows of another cell type in the same column
+    @example(_block_table(
+        ["k", "x"], (("a",), _NUMBERS, ()), (("b",), [*_NUMBERS[:2], (None,), (10**9,)], ()),
+        (("c",), [*_NUMBERS, ("x",)], ()),
+    ))
+    @example(_block_table(["x"], ((), [(1.5,), (None,), ("",)], ()), ((), [(1.5,), (None,)], ())))
+    # the shorter cut before the longer one, and after it
+    @example(_block_table(["k", "x", "y", "t"], (("a",), _LISTING[:2], ("ok",)), (("b",), _LISTING, ("ok",))))
+    @example(_block_table(["k", "x", "y", "t"], (("a",), _LISTING, ("ok",)), (("b",), _LISTING[:2], ("ok",))))
+    def test_matches_the_flat_reference(self, table):
+        assert report.render_csv(table) == csv_render(table.columns, table.rows)
+
+    def test_each_distinct_row_is_formatted_once(self):
+        class Counted:
+            # a %s cell that counts the calls of its __str__
+            def __init__(self, text):
+                self.text, self.calls = text, 0
+
+            def __str__(self):
+                self.calls += 1
+                return self.text
+
+        listing = [(Counted(f"c{i}"), i + 0.5) for i in range(6)]
+        table = _block_table(
+            ["k", "c", "x", "t"],
+            (("a",), listing[:3], ("ok",)), (("b",), listing, ("ok",)), (("c",), listing[:4], ("ok",)),
+        )
+        text = report.render_csv(table)
+        assert [cell.calls for cell, _ in listing] == [1] * 6
+        assert text == csv_render(table.columns, table.rows)
+
+
 def _json_or_error(table):
     # a cell JSON cannot encode (np.int64 is written as its int) must fail
     # alike in both tables

@@ -12,7 +12,8 @@ schedules at several eps, one of which leaves no target above R0 and,
 in some, one that a run cannot reach (exit 2), before or after the rest;
 totals and sweep counts at an eps so small that the radius stalls short
 of its target (exit 2); one full, uncapped simulated expansion per kind;
-and one simulator run each at an odd bin count and at a given tick.
+one simulator run each at an odd bin count and at a given tick; and one
+schedule per kind at two eps, the farther target first.
 
 After a change that is meant to move numbers, rewrite the hashes with
 
@@ -86,6 +87,11 @@ def commands():
            "--mode", "expansion", "--bins", "3601", "--max-sweeps", "2"]
     yield ["simulate", "--protocol", "circular-pincer", "--n", "8", "--speed-mode", "delta-own", "--dV", "3",
            "--mode", "expansion", "--bins", "720", "--max-sweeps", "3", "--dt", "0.01"]
+    for kind in KINDS:
+        # the farther target first: the nearer eps's rows are a prefix of
+        # rows already written
+        yield ["schedule", "--protocol", kind, "--n", "2,16", "--speed-mode", "delta-own",
+               "--dV", "0.5,3", "--eps", "1e-3,0.1"]
 
 
 def run(argv):
