@@ -120,8 +120,10 @@ def render_csv(table: Table) -> str:
     that of its body cells. Each distinct row object of such blocks is
     formatted and checked once per call, by the first that holds it, and
     its text kept by id() for the call, so blocks that share rows share
-    their text. The output is one join of all pieces at the end, cached
-    row texts among them, so no row text is copied before it.
+    their text; a block's texts are keyed only when a later many-row
+    block comes, so the table's last one keys none. The output is one
+    join of all pieces at the end, cached row texts among them, so no
+    row text is copied before it.
 
     A block whose text that format may get wrong goes row by row, cell by
     cell, through csv.writer: a whole row, head, tail or newly formatted
@@ -139,6 +141,9 @@ def render_csv(table: Table) -> str:
     # a body row's id() -> its cells' text; every row stays alive in the
     # table, so no id is reused while the call runs
     texts: Dict[int, str] = {}
+    # the last many-row block's rows and texts, with its ids when they were
+    # taken, until a later many-row block may read them from texts
+    held: Optional[tuple] = None
     header = ((), (table.columns,), ())
     for head, body, tail in chain((header,), table.blocks):
         if not body:
@@ -159,20 +164,26 @@ def render_csv(table: Table) -> str:
             cut = formats[tuple(map(type, head))] % tuple(head) + "," if head else ""
             end = "," + formats[tuple(map(type, tail))] % tuple(tail) if tail else ""
             cells = width - len(head) - len(tail)
-            keys = list(map(id, body))
-            if texts.keys().isdisjoint(keys):
-                new_keys, new = keys, body
-            else:
-                fresh = {key: row for key, row in zip(keys, body) if key not in texts}
-                new_keys, new = fresh.keys(), fresh.values()
+            if held is not None:
+                keys, rows, lines = held
+                texts.update(zip(map(id, rows) if keys is None else keys, lines))
+                held = None
+            keys, new = None, body
+            if texts:
+                keys = list(map(id, body))
+                if not texts.keys().isdisjoint(keys):
+                    fresh = {key: row for key, row in zip(keys, body) if key not in texts}
+                    new_keys, new = fresh.keys(), fresh.values()
             lines = formats.lines(new, cells) if new else []
             # H + T is checked as a line of its own: ",," where they meet,
             # so no cell's text spans the two
             if lines is not None and _plain(
                 "\n".join([cut + end, *lines]), 1 + len(lines), width - cells + len(lines) * (cells - 1)
             ):
-                texts.update(zip(new_keys, lines))
-                if new is not body:
+                if new is body:
+                    held = keys, body, lines
+                else:
+                    texts.update(zip(new_keys, lines))
                     lines = list(map(texts.__getitem__, keys))
                 # H, then each row's text and T + "\n" + H, the last of
                 # which becomes T + "\n"

@@ -27,9 +27,15 @@ its geometry, its duration and dt, so a run keeps the search results of
 its two latest shapes and the tick arrays of its two latest (duration,
 dt) pairs, read-only, and plays a repeated one from them: a pincer
 defense's outbound and inbound sweeps, a spiral defense's sweep and
-advance. Same-direction sweeps and expansion sweeps never repeat, and
+advance. A same-direction defender starts each sweep one slot further
+on, and the slots are the same angles every sweep, so a same-direction
+defense plays every sweep from one search, renumbering its defenders;
+only where two defenders cross one bin on one tick, whose order follows
+their numbers, is each turn searched apart. The two pincer shapes of one
+planned sweep share its tick track. Expansion sweeps never repeat, and
 two entries keep an expansion's memory from growing with its sweeps. The
-work counts (crossings, clearing passes) still count every phase.
+work counts (crossings, clearing passes) still count every phase, and
+`searches` counts the searches run.
 
 The first sweep is a warm-up artifact of starting the frontier exactly at
 R0 with the sensors still on their marks, so its margins and breaches are
@@ -42,7 +48,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import (
-    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+    Union,
 )
 
 import numpy as np
@@ -74,12 +81,13 @@ MAX_BINS = 10**6
 # the flag that shortens a run of each drive mode
 _MODE_FLAG = {"defense": "--cycles", "expansion": "--max-sweeps"}
 
-# Sweep shapes, and tick arrays, a run keeps for reuse (see the module
-# docstring): two cover a pincer's outbound and inbound sweeps.
+# Sweep shapes, tick tracks and tick arrays a run keeps for reuse (see the
+# module docstring): two cover a pincer's outbound and inbound sweeps.
 _KEEP = 2
+_T = TypeVar("_T")
 
 
-def _recent(store: Dict[Hashable, tuple], key: Hashable, make: Callable[[], tuple]) -> tuple:
+def _recent(store: Dict[Hashable, _T], key: Hashable, make: Callable[[], _T]) -> _T:
     """store[key], made on a miss; the store holds the _KEEP latest made."""
     value = store.get(key)
     if value is None:
@@ -129,9 +137,9 @@ _BREACH_DTYPE = np.dtype(
 @dataclass(frozen=True)
 class SimReport:
     """One run: its grid, per-sweep records, margins and breaches, plus
-    deterministic counts of the work it did (ticks stepped, crossings
-    found, clearing passes, replayed bins), which repeat exactly across
-    reruns and stay out of the CLI table."""
+    deterministic counts of the work it did (ticks stepped, crossing
+    searches, crossings found, clearing passes, replayed bins), which
+    repeat exactly across reruns and stay out of the CLI table."""
 
     kind: ProtocolKind
     mode: str
@@ -147,10 +155,12 @@ class SimReport:
     breach_blocks: List[Tuple[np.ndarray, ...]] = field(repr=False)
     center_hits: List[Tuple[int, int, float]] = field(repr=False)
     profiles: Optional[List[np.ndarray]] = None
-    # work done, deterministic: sweep ticks stepped, (defender, bin)
-    # crossings found, clearing passes run (one per crossing rank) and bins
-    # whose fall was replayed step by step near the center
+    # work done, deterministic: sweep ticks stepped, crossing searches run
+    # (one per distinct sweep shape), (defender, bin) crossings found,
+    # clearing passes run (one per crossing rank) and bins whose fall was
+    # replayed step by step near the center
     ticks: int = 0
+    searches: int = 0
     crossings: int = 0
     clearing_passes: int = 0
     replayed_bins: int = 0
@@ -171,6 +181,7 @@ class _SweepPhase:
     inner: Callable[[np.ndarray], np.ndarray]     # sensor inner radius at phase time t
     starts: np.ndarray
     dirs: np.ndarray
+    turn: int        # slots each defender has moved on from sweep 0's (0 for pincers)
 
 
 def _sweep_starts(
@@ -179,8 +190,9 @@ def _sweep_starts(
     n = params.n
     if not protocols.is_pincer(kind):
         # same direction: everyone advances one sector per sweep, the span
-        # overlapping into the stretch the neighbour ahead has vacated
-        return _TWO_PI * np.arange(n) / n + index * (_TWO_PI / n), np.ones(n, dtype=np.int64)
+        # overlapping into the stretch the neighbour ahead has vacated.
+        # Built from the slot, each start repeats sweep 0's bit for bit
+        return _TWO_PI * ((np.arange(n) + index) % n) / n, np.ones(n, dtype=np.int64)
     # pair p shares the axis of sector 2p; even sweeps move apart from it
     axis = _TWO_PI * np.arange(0, n, 2) / n
     outbound = index % 2 == 0
@@ -235,7 +247,10 @@ def _make_sweep(
     progress, inner, _ = _motion(params, Vs, kind, sweep)
     span = protocols.sweep(params, Vs, kind, sweep.anchor)[0]
     starts, dirs = _sweep_starts(params, kind, index, span)
-    return _SweepPhase(index, sweep.anchor, sweep.duration, span, progress, inner, starts, dirs)
+    turn = 0 if protocols.is_pincer(kind) else index % params.n
+    return _SweepPhase(
+        index, sweep.anchor, sweep.duration, span, progress, inner, starts, dirs, turn
+    )
 
 
 def _check_config(grid: SimConfig) -> None:
@@ -577,10 +592,32 @@ def _crossings(phase: _SweepPhase, centers: np.ndarray, s: np.ndarray):
     return d, j, x, k, rank
 
 
-class _Shape(NamedTuple):
+class _Track(NamedTuple):
+    """A planned sweep's ticks: the angular progress at each tick's end,
+    the last on the sector edge, and the sensor's inner radius then. Both
+    pincer shapes of the sweep share it. Read-only."""
+
+    s: np.ndarray
+    inner: np.ndarray
+
+
+def _track(phase: _SweepPhase, h: np.ndarray) -> _Track:
+    """The track of a sweep phase ticked at step lengths h."""
+    t_local = np.cumsum(h)
+    t_local[-1] = phase.duration
+    s = phase.progress(t_local)
+    s[-1] = phase.span
+    np.maximum.accumulate(s, out=s)
+    return _Track(*_read_only(s, phase.inner(t_local)))
+
+
+@dataclass(frozen=True)
+class _Shape:
     """The crossings of one sweep shape, searched once per run: defender,
     bin, distance and tick of each, the sensor's inner radius then, and
-    the crossings each clearing pass takes, in pass order. Read-only."""
+    the crossings each clearing pass takes, in pass order. Read-only.
+    Defenders are numbered as in the phase searched: sweep `index`, at
+    `turn`."""
 
     d: np.ndarray
     j: np.ndarray
@@ -588,22 +625,35 @@ class _Shape(NamedTuple):
     k: np.ndarray
     inner: np.ndarray
     passes: Tuple[Union[slice, np.ndarray], ...]
+    index: int
+    turn: int
+
+    @cached_property
+    def tied(self) -> bool:
+        """Whether two crossings of one bin fall on one tick, found on
+        first access. A bin's ranks run in tick order, so such a pair
+        holds adjacent ranks."""
+        tick = np.full(int(self.j.max(initial=-1)) + 1, -1, dtype=np.int64)
+        j, k = self.j, self.k
+        for before, sel in zip(self.passes, self.passes[1:]):
+            tick[j[before]] = k[before]
+            if (tick[j[sel]] == k[sel]).any():
+                return True
+        return False
 
 
 def _shape_key(phase: _SweepPhase) -> Hashable:
     """What a phase's crossings depend on, dt, kind and Vs being fixed
-    for a run."""
-    return phase.anchor, phase.duration, phase.span, phase.starts.tobytes(), phase.dirs.tobytes()
+    for a run. Starts and directions are taken in slot order, so every
+    turn of a same-direction sweep keys as sweep 0's."""
+    cut = len(phase.starts) - phase.turn  # the defender in slot 0
+    starts, dirs = (a[cut:].tobytes() + a[:cut].tobytes() for a in (phase.starts, phase.dirs))
+    return phase.anchor, phase.duration, phase.span, starts, dirs
 
 
-def _shape(phase: _SweepPhase, h: np.ndarray, centers: np.ndarray) -> _Shape:
-    """Search the crossings of a sweep phase ticked at step lengths h."""
-    t_local = np.cumsum(h)
-    t_local[-1] = phase.duration
-    s = phase.progress(t_local)
-    s[-1] = phase.span
-    np.maximum.accumulate(s, out=s)
-    d, j, x, k, rank = _crossings(phase, centers, s)
+def _shape(phase: _SweepPhase, track: _Track, centers: np.ndarray) -> _Shape:
+    """Search the crossings of a sweep phase along its track."""
+    d, j, x, k, rank = _crossings(phase, centers, track.s)
     # a bin met by several sensors (pincer meetings, same-direction
     # overlap) takes them in tick and then defender order, one pass each
     count = int(rank.max()) + 1 if len(j) else 0
@@ -611,7 +661,7 @@ def _shape(phase: _SweepPhase, h: np.ndarray, centers: np.ndarray) -> _Shape:
         passes = (slice(None),)
     else:
         passes = _read_only(*(np.flatnonzero(rank == r) for r in range(count)))
-    return _Shape(*_read_only(d, j, x, k, phase.inner(t_local[k])), passes)
+    return _Shape(*_read_only(d, j, x, k, track.inner[k]), passes, phase.index, phase.turn)
 
 
 def _sweep(front: _Frontier, shape: _Shape, two_r: float) -> np.ndarray:
@@ -639,7 +689,9 @@ def run(
     critical speed (or when eps leaves no room to expand) and expansion
     otherwise. A run that would step more than MAX_TICKS ticks raises
     MaxIterations before any phase is built. A sweep shape seen before
-    in the run is played from its kept search (see _recent).
+    in the run is played from its kept search (see _recent), at any
+    turn unless the search holds a tie: ties rank by defender, so a tied
+    shape serves only its own turn.
     """
     params = validate(params)
     if Vs <= params.VT:
@@ -657,14 +709,21 @@ def run(
     sweeps: List[SweepRecord] = []
     profiles: Optional[List[np.ndarray]] = [] if grid.capture_profiles else None
     min_margin = math.inf
-    ticks = crossings = 0
-    shapes: Dict[Hashable, tuple] = {}
+    ticks = searches = crossings = 0
+    shapes: Dict[Hashable, _Shape] = {}
+    tracks: Dict[Hashable, _Track] = {}
 
     for phase, advance in _phases(params, Vs, kind, planned, repeats):
         h = front.begin(phase.duration, dt)
-        shape = _recent(shapes, _shape_key(phase), partial(_shape, phase, h, centers))
+        track = _recent(tracks, (phase.anchor, phase.duration), partial(_track, phase, h))
+        key, search = _shape_key(phase), partial(_shape, phase, track, centers)
+        shape = _recent(shapes, key, search)
+        if shape.turn != phase.turn and shape.tied:
+            # a tied pair clears in defender order: each turn its own search
+            shape = _recent(shapes, (key, phase.turn), search)
         rho = _sweep(front, shape, 2.0 * params.r)
         ticks += len(h)
+        searches += shape.index == phase.index  # searched for this phase
         crossings += len(rho)
         margins = rho - shape.inner
         sweep_margin = float(margins.min()) if len(margins) else math.inf
@@ -672,8 +731,11 @@ def run(
             min_margin = min(min_margin, sweep_margin)
             if not sweep_margin >= -grid_tolerance:  # a clean sweep records nothing
                 bad = margins < -grid_tolerance
-                d, j, x, k, inner, _ = shape
-                front.record(*(a[bad] for a in (k, d, x, j, rho, inner)))
+                d = shape.d[bad]
+                if shape.turn != phase.turn:  # renumber to this turn's defenders
+                    d = (d + (shape.turn - phase.turn)) % params.n
+                rest = (a[bad] for a in (shape.x, shape.j, rho, shape.inner))
+                front.record(shape.k[bad], d, *rest)
 
         rho_end = front.settle()
         sweeps.append(
@@ -706,6 +768,7 @@ def run(
         center_hits=front.hits,
         profiles=profiles,
         ticks=ticks,
+        searches=searches,
         crossings=crossings,
         clearing_passes=front.passes,
         replayed_bins=front.replays,

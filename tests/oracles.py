@@ -323,7 +323,8 @@ def sweep_starts(n, pincer, index, span):
 
     Pincer pair p shares the axis of sector 2p: even sweeps leave it back
     to back, odd sweeps return to it from span away. Same-direction
-    defenders all turn counter-clockwise, one sector further each sweep.
+    defenders all turn counter-clockwise, one sector further each sweep:
+    defender d starts sweep `index` at slot (d + index) mod n.
     """
     two_pi = 2.0 * math.pi
     starts = np.empty(n)
@@ -340,7 +341,7 @@ def sweep_starts(n, pincer, index, span):
                 starts[2 * p + 1], dirs[2 * p + 1] = axis - span, 1
     else:
         for d in range(n):
-            starts[d] = two_pi * d / n + index * (two_pi / n)
+            starts[d] = two_pi * ((d + index) % n) / n
             dirs[d] = 1
     return starts, dirs
 

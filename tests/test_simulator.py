@@ -300,15 +300,17 @@ class TestRepeatedShapes:
 
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_defense_searches_each_shape_once(self, searched, kind):
-        # pincer sweeps alternate outbound and inbound; same-direction
-        # sweeps move on one sector each time and never repeat
+        # pincer sweeps alternate outbound and inbound; a same-direction
+        # sweep is the first one moved on by whole slots, so it is one shape
         found, most = searched
         p = make(n=8)
         rep = simulator.run(p, 1.5 * protocols.CRITICAL[kind](p), kind,
                             SimConfig(bins=720, mode="defense", cycles=5))
         assert len(rep.sweeps) == 5
-        assert len(found) == (2 if protocols.is_pincer(kind) else 5)
-        assert most[0] == 2
+        assert len(found) == (2 if protocols.is_pincer(kind) else 1)
+        # the fullest store holds a pincer's two shapes, or a spiral's sweep
+        # and advance tick arrays; a circular-same defense needs one entry
+        assert most[0] == (1 if kind is CIRC_SAME else 2)
         # the work counts still count every phase
         per_phase = [found[i % len(found)] for i in range(5)]
         assert rep.crossings == sum(len(j) for _, j, _, _, _ in per_phase)
@@ -323,6 +325,19 @@ class TestRepeatedShapes:
         assert len(rep.sweeps) == len(found) == 6
         assert most[0] == 2
         assert rep.crossings == sum(len(f[1]) for f in found)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_searches_counts_the_crossing_searches(self, searched, kind):
+        found, _ = searched
+        p = make(n=8)
+        Vc = protocols.CRITICAL[kind](p)
+        for cycles in (3, 2 * p.n + 3):
+            found.clear()
+            rep = simulator.run(p, 1.5 * Vc, kind, SimConfig(bins=720, mode="defense", cycles=cycles))
+            assert rep.searches == len(found) == (2 if protocols.is_pincer(kind) else 1)
+        found.clear()
+        rep = simulator.run(p, 2.0 * Vc, kind, SimConfig(bins=720, mode="expansion", max_sweeps=6))
+        assert rep.searches == len(found) == len(rep.sweeps) == 6
 
     @pytest.mark.parametrize("kind", [CIRC, SPIR_SAME])
     def test_long_expansion_keeps_two_shapes(self, kind):
@@ -425,6 +440,23 @@ class TestSameDirectionDefense:
         rep = simulator.run(p, Vs, kind, SimConfig(bins=720, mode="defense"))
         assert rep.min_margin > 0.0
         assert len(rep.breaches) == 0
+
+
+@pytest.mark.parametrize("kind", [CIRC_SAME, SPIR_SAME])
+@pytest.mark.parametrize("n", [2, 4, 8, 32, 130])
+@pytest.mark.parametrize("bins", [360, 3600, 3601])
+@pytest.mark.parametrize("factor", [0.7, 1.2, 3.0])
+def test_same_direction_sweeps_report_the_same_numbers(kind, n, bins, factor):
+    # every same-direction sweep starts from sweep 0's slots, each
+    # defender one slot further on, so from the first counted sweep on,
+    # through up to two full turns of the slots, each sweep reports the
+    # same margin and radii
+    p = make(n=n)
+    Vs = max(factor * protocols.CRITICAL[kind](p), 1.05 * p.VT)
+    grid = SimConfig(bins=bins, mode="defense", cycles=min(2 * n + 3, 9))
+    rep = simulator.run(p, Vs, kind, grid)
+    counted = [(s.margin, s.rho_min, s.rho_max) for s in rep.sweeps[1:]]
+    assert counted == [counted[0]] * (grid.cycles - 1)
 
 
 class TestExpansionRadii:

@@ -115,6 +115,51 @@ def test_repeated_sweep_shapes_match_tick_loop(n, kind, below):
         assert late.any(), "the comparison should cover breaches in replayed sweeps"
 
 
+@pytest.mark.parametrize(
+    "kind, n, tied",
+    [
+        (ProtocolKind.CIRCULAR_SAME_DIRECTION, 400, False),
+        (ProtocolKind.CIRCULAR_SAME_DIRECTION, 1000, True),
+        (ProtocolKind.SPIRAL_SAME_DIRECTION, 400, False),
+        (ProtocolKind.SPIRAL_SAME_DIRECTION, 1000, False),
+    ],
+)
+@pytest.mark.parametrize("below", [True, False])
+def test_defenders_crossing_one_bin_on_one_tick_match_tick_loop(monkeypatch, kind, n, tied, below):
+    # with more defenders than bins, one tick can carry two neighbouring
+    # sensors over one bin, and the pair clears in defender order, so such
+    # a shape is searched again at each turn. At 360 bins a tick moves a
+    # sensor at most half a bin, less than the 2pi/400 between neighbours:
+    # n = 400 never ties. A spiral sensor moves that far only near its
+    # sweep's end, and at n = 1000 no tick there meets a tie
+    params = ScenarioParams(R0=100.0, r=40.0, VT=1.0, n=n, eps=0.1)
+    Vc = CRITICAL[kind](params)
+    Vs = params.VT + 0.5 * (Vc - params.VT) if below else 1.2 * Vc
+    grid = SimConfig(bins=360, mode="defense", cycles=3)
+    rep = assert_matches_oracle(params, Vs, kind, grid)
+    assert rep.searches == (len(rep.sweeps) if tied else 1)
+    if below and kind is ProtocolKind.SPIRAL_SAME_DIRECTION:
+        assert len(rep.breaches), "the comparison should cover sensor breaches"
+    # bit for bit what a search of every sweep gives
+    monkeypatch.setattr(simulator, "_recent", lambda store, key, make: make())
+    fresh = simulator.run(params, Vs, kind, grid)
+    assert fresh.searches == len(fresh.sweeps)
+    assert (rep.sweeps, rep.min_margin, rep.t_final) == (fresh.sweeps, fresh.min_margin, fresh.t_final)
+    assert rep.breaches.tobytes() == fresh.breaches.tobytes()
+
+
+def test_a_tie_keeps_its_own_turns_defender_order():
+    # every bin breaches on one tick of each counted sweep here, and the
+    # log lists a tick's breaches by defender; had the later turns reused
+    # turn 0's order for their ties, bin 0's breach would move in the log
+    params = ScenarioParams(R0=100.0, r=49.0, VT=1.0, n=2000, eps=0.1)
+    kind = ProtocolKind.SPIRAL_SAME_DIRECTION
+    Vs = params.VT + 0.8 * (CRITICAL[kind](params) - params.VT)
+    rep = assert_matches_oracle(params, Vs, kind, SimConfig(bins=500, mode="defense", cycles=3))
+    assert rep.searches == len(rep.sweeps) == 3
+    assert len(rep.breaches) == 2 * 500
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_ten_sweep_expansion_matches_tick_loop(kind):
     Vs = CRITICAL[kind](BASE) + 10.0 * BASE.VT
@@ -188,8 +233,10 @@ def test_simulate_tables_match_golden(tmp_path, name):
 def test_crossing_ranks_match_a_full_sort(monkeypatch, kind, n, mode):
     # only bins met more than once are sorted to rank their crossings; the
     # (defender, bin, distance, tick, rank) set must equal the one a sort
-    # of every crossing gives, on every sweep phase the planner lays out.
-    # At 3601 bins, or n = 130, sector edges fall between bin centres.
+    # of every crossing gives, on every sweep phase the run searches. A
+    # same-direction defense searches once: its second sweep is its first
+    # turned by one slot. At 3601 bins, or n = 130, sector edges fall
+    # between bin centres.
     params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=n, eps=0.1)
     Vc = CRITICAL[kind](params)
     Vs = max(0.9 * Vc, 1.1 * params.VT) if mode == "defense" else Vc + 10.0 * params.VT
@@ -206,7 +253,8 @@ def test_crossing_ranks_match_a_full_sort(monkeypatch, kind, n, mode):
     grids = (360, 3600, 3601, 36000)
     for bins in grids:
         simulator.run(params, Vs, kind, SimConfig(bins=bins, mode=mode, cycles=2, max_sweeps=2))
-    assert len(pairs) == len(grids) * 2
+    searched = 1 if mode == "defense" and not protocols.is_pincer(kind) else 2
+    assert len(pairs) == len(grids) * searched
     shared = 0
     for got, want in pairs:
         assert sorted(zip(*(a.tolist() for a in got))) == sorted(zip(*(a.tolist() for a in want)))
@@ -220,7 +268,7 @@ def test_crossing_ranks_match_a_full_sort(monkeypatch, kind, n, mode):
 @pytest.mark.parametrize("kind", [ProtocolKind.CIRCULAR_PINCER, ProtocolKind.CIRCULAR_SAME_DIRECTION])
 @pytest.mark.parametrize("n", [2, 4, 32, 128, 130])
 def test_sweep_starts_match_a_per_defender_loop(kind, n):
-    # same-direction starts pass 2pi from index n on
+    # same-direction starts come back to slot 0 from index n on
     params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
     span = 2.0 * math.pi / n + 0.01
     for index in range(2 * n + 1):
