@@ -26,7 +26,6 @@ from .scenario import (
     ExpansionStep,
     ProtocolKind,
     ProtocolSummary,
-    RecursionCoeffs,
     ScenarioParams,
     validate,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ProtocolError",
     "ProtocolKind",
     "ProtocolSummary",
-    "RecursionCoeffs",
     "RootNotFound",
     "ScenarioParams",
     "SpeedTooLow",

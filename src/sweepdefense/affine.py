@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import memo
 from .errors import InvalidParam, MaxIterations, NoExpansion, SubcriticalSpeed
-from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioParams
+from .scenario import ExpansionStep, ProtocolSummary, ScenarioParams
 
 # Band around integer values of the closed-form sweep count inside which
 # the count is recomputed by direct iteration; taking a ceiling that close
@@ -274,12 +274,6 @@ class AffineRecursion:
                 "Vs", f"{Vs} is so fast that the per-sweep contraction rounds to 1"
             )
         return c2
-
-    def coeffs(self) -> RecursionCoeffs:
-        """c1 and c2 of X_{i+1} = c2*X_i + c1; c3 = a*c1 converts a
-        radius excess into the matching sweep-time excess."""
-        c1 = self.b * self.Vs / (self.Vs + self.params.VT)
-        return RecursionCoeffs(c1=c1, c2=self._c2(), c3=self.a * c1)
 
     def target(self) -> float:
         return expansion_target(self.params, self.asymptote)

@@ -19,7 +19,7 @@ from . import affine
 from .affine import AffineRecursion
 from .bounds import universal_lower_bound
 from .errors import NoExpansion
-from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioParams
+from .scenario import ExpansionStep, ProtocolSummary, ScenarioParams
 
 _TWO_PI = 2.0 * math.pi
 
@@ -50,11 +50,6 @@ def expansion(params: ScenarioParams, Vs: float) -> AffineRecursion:
     if at_critical:
         raise NoExpansion("at the critical speed the ring never grows")
     return ring
-
-
-def coeffs(params: ScenarioParams, Vs: float) -> RecursionCoeffs:
-    """Coefficients of the affine radius recursion R_{i+1} = c2*R_i + c1."""
-    return _ring(params, Vs)[0].coeffs()
 
 
 def max_radius(params: ScenarioParams, Vs: float) -> float:

@@ -1,4 +1,4 @@
-"""Table emission and ingestion for the CLI.
+"""Table emission for the CLI.
 
 One table model, held in blocks of rows that share their first and last
 cells (a grid point's key and status), and two byte-stable encodings.
@@ -14,7 +14,6 @@ spiral-only bookkeeping radius on circular rows.
 """
 
 import csv
-import io
 import json
 import math
 import operator
@@ -222,43 +221,6 @@ def render(table: Table, fmt: str) -> str:
 
 def write_table(table: Table, path: Union[str, Path], fmt: str) -> None:
     Path(path).write_text(render(table, fmt), encoding="utf-8")
-
-
-def _parse_cell(text: str) -> Cell:
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def read_table(path: Union[str, Path], fmt: Optional[str] = None) -> Table:
-    """Read back a table this module wrote.
-
-    The format is inferred from the file suffix unless given. CSV cells
-    come back as int, float or str by narrowest fit; blank means None.
-    """
-    path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "csv"
-    text = path.read_text(encoding="utf-8")
-    if fmt == "json":
-        doc = json.loads(text)
-        return Table(columns=list(doc["columns"]), rows=[list(r) for r in doc["rows"]])
-    if fmt == "csv":
-        reader = csv.reader(io.StringIO(text))
-        try:
-            columns = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file, expected a header row")
-        rows = [[_parse_cell(c) for c in row] for row in reader]
-        return Table(columns=columns, rows=rows)
-    raise ConfigError(f"format={fmt!r}: expected csv or json")
 
 
 def meta_path(out: Union[str, Path]) -> Path:

@@ -26,19 +26,6 @@ class ScenarioParams:
     eps: float  # stopping gap below the asymptotic maximal radius
 
 
-@dataclass(frozen=True)
-class RecursionCoeffs:
-    """Affine per-sweep radius recursion R_{i+1} = c2 * R_i + c1.
-
-    c3 is the matching per-sweep time coefficient. The contraction
-    0 < c2 < 1 guarantees the finite fixed point c1 / (1 - c2).
-    """
-
-    c1: float  # length
-    c2: float  # dimensionless contraction factor
-    c3: float  # time
-
-
 class ExpansionStep(NamedTuple):
     """One sweep iteration of an expansion schedule.
 

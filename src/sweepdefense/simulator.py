@@ -44,7 +44,7 @@ excluded from reporting; steady state begins with the second sweep.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import (
@@ -177,8 +177,6 @@ class _SweepPhase:
     anchor: float    # sensor inner radius at phase start
     duration: float
     span: float      # angular sector each defender covers this sweep
-    progress: Callable[[np.ndarray], np.ndarray]  # angular progress s(t), s(0) = 0
-    inner: Callable[[np.ndarray], np.ndarray]     # sensor inner radius at phase time t
     starts: np.ndarray
     dirs: np.ndarray
     turn: int        # slots each defender has moved on from sweep 0's (0 for pincers)
@@ -209,6 +207,7 @@ class _Planned(NamedTuple):
 
     anchor: float             # sensor inner radius at sweep start
     duration: float
+    span: float               # angular sector each defender covers
     advance: Optional[float]  # outward phase after the sweep, if there is one
 
 
@@ -241,18 +240,6 @@ def _motion(params: ScenarioParams, Vs: float, kind: ProtocolKind, sweep: _Plann
     return progress, inner, rate
 
 
-def _make_sweep(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, index: int, sweep: _Planned
-) -> _SweepPhase:
-    progress, inner, _ = _motion(params, Vs, kind, sweep)
-    span = protocols.sweep(params, Vs, kind, sweep.anchor)[0]
-    starts, dirs = _sweep_starts(params, kind, index, span)
-    turn = 0 if protocols.is_pincer(kind) else index % params.n
-    return _SweepPhase(
-        index, sweep.anchor, sweep.duration, span, progress, inner, starts, dirs, turn
-    )
-
-
 def _check_config(grid: SimConfig) -> None:
     if grid.bins < 360:
         raise ConfigError(f"bins={grid.bins}: need at least 360 angular bins")
@@ -277,8 +264,9 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
     dt comes from the first sweep (protocols.sweep from R0), then bins *
     (sweeps played) is held to MAX_TICKS, with the sweep count of an
     expansion taken from its totals; only then are the played sweeps
-    listed, and no step past them, and their ticks counted. _phases
-    builds each phase, with its motion, when the run reaches it.
+    listed, each with its sector, and no step past them, and their ticks
+    counted. _phases builds each phase when the run reaches it, and
+    _track a planned sweep's motion when no kept track serves it.
 
     An expansion plays the analytic schedule once, open loop, cut to
     max_sweeps; the last advance stops at the target unless the schedule
@@ -306,7 +294,8 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
             repeats, R_ref = 1, summary.R_asym
     if mode == "defense":
         played, repeats, R_ref = 1, grid.cycles, params.R0 + 2.0 * params.r
-    first = _Planned(params.R0, protocols.sweep(params, Vs, kind, params.R0)[1], None)
+    span, duration = protocols.sweep(params, Vs, kind, params.R0)
+    first = _Planned(params.R0, duration, span, None)
     dt = _checked_dt(params, Vs, kind, grid, first)
     # every sweep phase clears and settles all bins
     work = grid.bins * played * repeats
@@ -317,7 +306,8 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
         )
     if mode == "expansion":
         steps = protocols.first_steps(params, Vs, kind, played)
-        sweeps = [_Planned(s.R_i, s.T_sweep_i, s.T_out_i) for s in steps]
+        spans = (protocols.sweep(params, Vs, kind, s.R_i)[0] for s in steps)
+        sweeps = [_Planned(s.R_i, s.T_sweep_i, span, s.T_out_i) for s, span in zip(steps, spans)]
         if played == summary.N_n:
             sweeps[-1] = sweeps[-1]._replace(advance=summary.T_out_last)
     else:
@@ -328,13 +318,16 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
 
 
 def _phases(
-    params: ScenarioParams, Vs: float, kind: ProtocolKind, sweeps: Sequence[_Planned], repeats: int
-) -> Iterator[Tuple[_SweepPhase, Optional[float]]]:
+    params: ScenarioParams, kind: ProtocolKind, sweeps: Sequence[_Planned], repeats: int
+) -> Iterator[Tuple[_SweepPhase, _Planned]]:
     """Each sweep phase of the run, built only when it is reached, with
-    the advance that follows it (None when there is none)."""
+    the planned sweep it plays."""
     # schedule steps are numbered from 0, so a sweep's index is its place
     for index, sweep in enumerate(chain.from_iterable(repeat(sweeps, repeats))):
-        yield _make_sweep(params, Vs, kind, index, sweep), sweep.advance
+        starts, dirs = _sweep_starts(params, kind, index, sweep.span)
+        turn = 0 if protocols.is_pincer(kind) else index % params.n
+        phase = _SweepPhase(index, sweep.anchor, sweep.duration, sweep.span, starts, dirs, turn)
+        yield phase, sweep
 
 
 def _ticks(duration: float, dt: float) -> Tuple[int, float]:
@@ -428,6 +421,7 @@ class _Frontier:
         self.blocks: List[Tuple[np.ndarray, ...]] = []
         self.hits: List[Tuple[int, int, float]] = []  # center (step, bin, t)
         self.passes = self.replays = 0  # clear and _replay calls
+        self.replayed = 0  # steps replayed, summed over _replay calls
 
     def begin(self, duration: float, dt: Optional[float]) -> np.ndarray:
         """Start the next phase: a sweep ticked at dt, or an advance (dt None)."""
@@ -490,7 +484,12 @@ class _Frontier:
         return kept[1] if kept is not None else self.VT * _tick_lengths(*self.phases[q])
 
     def _replay(self, b: int, end: int) -> None:
-        """Record bin b's center hit if its fall reaches 0 by step end."""
+        """Record bin b's center hit if its fall reaches 0 by step end.
+
+        A replay costs its steps, and a hopeless defense replays every bin
+        it reaches through every tick since: past MAX_TICKS steps in all,
+        the run is refused (MaxIterations) instead of running for a time
+        the input sets."""
         self.replays += 1
         begin = int(self.ref[b])
         path = [self.value[b : b + 1]]
@@ -499,6 +498,10 @@ class _Frontier:
             if first > end:
                 break
             path.append(self._drops(q)[max(begin - first, 0) : end - first + 1])
+        self.replayed += sum(map(len, path)) - 1
+        if self.replayed > MAX_TICKS:
+            raise MaxIterations(f"{self.replays} bins near the centre replay more than "
+                                f"{MAX_TICKS} steps of their fall: lower --bins or change --Vs")
         down = np.flatnonzero(np.subtract.accumulate(np.concatenate(path))[1:] <= 0.0)
         if down.size:
             # every phase ends by settling all bins, so a fall that reached
@@ -601,14 +604,17 @@ class _Track(NamedTuple):
     inner: np.ndarray
 
 
-def _track(phase: _SweepPhase, h: np.ndarray) -> _Track:
-    """The track of a sweep phase ticked at step lengths h."""
+def _track(
+    params: ScenarioParams, Vs: float, kind: ProtocolKind, sweep: _Planned, h: np.ndarray
+) -> _Track:
+    """The track of a planned sweep ticked at step lengths h."""
+    progress, inner, _ = _motion(params, Vs, kind, sweep)
     t_local = np.cumsum(h)
-    t_local[-1] = phase.duration
-    s = phase.progress(t_local)
-    s[-1] = phase.span
+    t_local[-1] = sweep.duration
+    s = progress(t_local)
+    s[-1] = sweep.span
     np.maximum.accumulate(s, out=s)
-    return _Track(*_read_only(s, phase.inner(t_local)))
+    return _Track(*_read_only(s, inner(t_local)))
 
 
 @dataclass(frozen=True)
@@ -713,9 +719,10 @@ def run(
     shapes: Dict[Hashable, _Shape] = {}
     tracks: Dict[Hashable, _Track] = {}
 
-    for phase, advance in _phases(params, Vs, kind, planned, repeats):
+    for phase, sweep in _phases(params, kind, planned, repeats):
         h = front.begin(phase.duration, dt)
-        track = _recent(tracks, (phase.anchor, phase.duration), partial(_track, phase, h))
+        make_track = partial(_track, params, Vs, kind, sweep, h)
+        track = _recent(tracks, (sweep.anchor, sweep.duration), make_track)
         key, search = _shape_key(phase), partial(_shape, phase, track, centers)
         shape = _recent(shapes, key, search)
         if shape.turn != phase.turn and shape.tied:
@@ -749,9 +756,9 @@ def run(
         )
         if profiles is not None:
             profiles.append(rho_end)
-        if advance is not None:
+        if sweep.advance is not None:
             # no detection while moving outward; one exact decay step
-            front.begin(advance, None)
+            front.begin(sweep.advance, None)
             front.settle()
 
     return SimReport(
@@ -774,22 +781,3 @@ def run(
         replayed_bins=front.replays,
     )
 
-
-def margin_curve(
-    params: ScenarioParams,
-    kind: ProtocolKind,
-    speeds: Sequence[float],
-    grid: SimConfig = SimConfig(),
-) -> List[Tuple[float, float]]:
-    """Defense-mode minimum clearance margin at each speed.
-
-    The margin rises with speed and crosses zero at the protocol's
-    critical speed, so the curve localizes criticality empirically.
-    """
-    speeds = list(speeds)
-    if any(b <= a for a, b in zip(speeds, speeds[1:])):
-        raise ConfigError("speeds must be strictly ascending")
-    if speeds and speeds[0] <= params.VT:
-        raise ConfigError(f"speeds must exceed the threat speed VT={params.VT}")
-    defense = replace(grid, mode="defense")
-    return [(Vs, run(params, Vs, kind, defense).min_margin) for Vs in speeds]

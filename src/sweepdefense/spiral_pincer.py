@@ -14,29 +14,17 @@ found numerically with a safeguarded Newton iteration.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import List
 
 from . import affine, memo
 from .affine import AffineRecursion
 from .bounds import universal_lower_bound
 from .circular_pincer import critical_speed as _circular_critical_speed
-from .errors import InvalidParam, SpeedTooLow
+from .errors import InvalidParam
 from .rootfind import RootProblem, solve_widening
-from .scenario import ExpansionStep, ProtocolSummary, RecursionCoeffs, ScenarioParams
+from .scenario import ExpansionStep, ProtocolSummary, ScenarioParams
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SpiralGeometry:
-    """One sweep of the spiral trajectory, in ready-to-evaluate form."""
-
-    phi: float  # tilt of the sensor against the path, arcsin(VT/Vs)
-    lam: float  # radial contraction factor per sweep ("lambda" is reserved)
-    Tc: float   # duration of the first sweep
-    beta: Callable[[float], float] = field(repr=False)  # polar angle at time t
-    Rs: Callable[[float], float] = field(repr=False)    # sensor-centre radius at time t
 
 
 def checked_contraction(lam: float, Vs: float) -> float:
@@ -62,34 +50,6 @@ def lateral_speed(Vs: float, VT: float) -> float:
 def _contraction(params: ScenarioParams, Vs: float) -> float:
     return checked_contraction(
         math.exp(-_TWO_PI * params.VT / (params.n * lateral_speed(Vs, params.VT))), Vs
-    )
-
-
-def spiral_geometry(params: ScenarioParams, Vs: float) -> SpiralGeometry:
-    """Trajectory of the first sweep, starting at the protected boundary.
-
-    The sensor centre sinks linearly, Rs(t) = R0 + r - VT*t, while the
-    polar angle accumulates as the closed-form logarithm; beta(Tc) lands
-    exactly on the pair sector 2*pi/n.
-    """
-    VT, R_start = params.VT, params.R0 + params.r
-    if Vs <= VT:
-        raise SpeedTooLow(f"Vs={Vs} must exceed the threat speed VT={VT}")
-    lateral = lateral_speed(Vs, VT)
-    lam = _contraction(params, Vs)
-
-    def beta(t: float) -> float:
-        return (lateral / VT) * math.log(R_start / (R_start - VT * t))
-
-    def Rs(t: float) -> float:
-        return R_start - VT * t
-
-    return SpiralGeometry(
-        phi=math.asin(params.VT / Vs),
-        lam=lam,
-        Tc=R_start * (1.0 - lam) / VT,
-        beta=beta,
-        Rs=Rs,
     )
 
 
@@ -156,11 +116,6 @@ def expansion(params: ScenarioParams, Vs: float) -> AffineRecursion:
         b=2.0 * params.r,
         shift=params.r,
     )
-
-
-def coeffs(params: ScenarioParams, Vs: float) -> RecursionCoeffs:
-    """Coefficients of Rtilde_{i+1} = c2*Rtilde_i + c1."""
-    return expansion(params, Vs).coeffs()
 
 
 def max_radius(params: ScenarioParams, Vs: float) -> float:

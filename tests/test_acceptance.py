@@ -19,6 +19,7 @@ import oracles
 from sweepdefense import (
     circular_pincer,
     cli,
+    protocols,
     report,
     same_direction,
     simulator,
@@ -169,22 +170,26 @@ def test_criterion_06_trajectory_ode_matches_closed_form():
     for n in (2, 8, 32):
         p = replace(BASE, n=n)
         Vs = 1.5 * spiral_pincer.critical_speed(p)
-        geo = spiral_pincer.spiral_geometry(p, Vs)
+        # the path the simulator runs: polar angle beta(t), sensor inner radius
+        kind = ProtocolKind.SPIRAL_PINCER
+        span, Tc = protocols.sweep(p, Vs, kind, p.R0)
+        planned = simulator._Planned(p.R0, Tc, span, None)
+        beta, inner, _ = simulator._motion(p, Vs, kind, planned)
         lateral = math.sqrt(Vs * Vs - p.VT * p.VT)
         sol = solve_ivp(
-            lambda t, y: [lateral / geo.Rs(t)],
-            (0.0, geo.Tc),
+            lambda t, y: [lateral / (inner(t) + p.r)],
+            (0.0, Tc),
             [0.0],
-            t_eval=np.linspace(0.0, geo.Tc, 201)[1:],
+            t_eval=np.linspace(0.0, Tc, 201)[1:],
             rtol=1e-12,
             atol=1e-14,
         )
         assert sol.success
         dev = max(
-            _rel(theta, geo.beta(t)) for t, theta in zip(sol.t, sol.y[0])
+            _rel(theta, beta(t)) for t, theta in zip(sol.t, sol.y[0])
         )
         assert dev <= 1e-6, f"n={n}: max relative deviation {dev:.3e}"
-        assert geo.beta(geo.Tc) == pytest.approx(2.0 * math.pi / n, rel=1e-12)
+        assert beta(Tc) == pytest.approx(2.0 * math.pi / n, rel=1e-12)
     print("PASS 06: integrated sweep angle matches the closed form to 1e-6 "
           "for n in {2, 8, 32}")
 
@@ -201,9 +206,11 @@ def test_criterion_07_simulator_localizes_critical_speed(kind, crit):
     t0 = time.perf_counter()
     Vc = crit(BASE)
     grid = SimConfig(bins=3600)
-    curve = simulator.margin_curve(
-        BASE, kind, [f * Vc for f in (0.9, 0.95, 1.0, 1.05, 1.1)], grid
-    )
+    defense = replace(grid, mode="defense")
+    curve = [
+        (Vs, simulator.run(BASE, Vs, kind, defense).min_margin)
+        for Vs in (f * Vc for f in (0.9, 0.95, 1.0, 1.05, 1.1))
+    ]
     crossing = None
     for (va, ma), (vb, mb) in zip(curve, curve[1:]):
         if ma < 0.0 <= mb:

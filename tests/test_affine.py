@@ -54,7 +54,7 @@ def test_count_on_an_integer_boundary_iterates_under_the_cap(mod, monkeypatch):
     # eps = (R_asym - R0) * c2**k puts the closed-form count on k exactly
     base = make()
     Vs = 1.5 * mod.critical_speed(base)
-    c2 = mod.coeffs(base, Vs).c2
+    c2 = mod.expansion(base, Vs)._c2()
     k = 9
     params = make(eps=(mod.max_radius(base, Vs) - base.R0) * c2**k)
     p = params
@@ -93,13 +93,15 @@ def test_schedule_past_the_cap_fails_before_iterating():
 def test_fixed_point_of_the_coefficients_is_the_asymptote(mod):
     params = make(n=8)
     Vs = 1.2 * mod.critical_speed(params)
-    c = mod.coeffs(params, Vs)
+    rec = mod.expansion(params, Vs)
+    c1, c2 = rec.b * Vs / (Vs + params.VT), rec._c2()
+    c3 = rec.a * c1
     shift = 0.0 if mod is circular_pincer else params.r
-    assert 0.0 < c.c2 < 1.0
-    assert math.isclose(c.c1 / (1.0 - c.c2) - shift, mod.max_radius(params, Vs), rel_tol=1e-12)
+    assert 0.0 < c2 < 1.0
+    assert math.isclose(c1 / (1.0 - c2) - shift, mod.max_radius(params, Vs), rel_tol=1e-12)
     # c3 turns a radius excess into the sweep-time excess it costs
     first = mod.expansion_schedule(params, Vs)[0]
-    assert math.isclose(c.c3 / c.c1 * (params.R0 + shift), first.T_sweep_i, rel_tol=1e-12)
+    assert math.isclose(c3 / c1 * (params.R0 + shift), first.T_sweep_i, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(

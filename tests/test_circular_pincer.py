@@ -68,17 +68,20 @@ class TestCriticalSpeed:
 
 
 class TestCoeffs:
+    # R_{i+1} = c2*R_i + c1, and c3 = a*c1 the matching sweep-time excess
     def test_reference_values(self):
-        c = circular_pincer.coeffs(make(), REF_SPEED)
-        assert math.isclose(c.c1, 9.696195455691626, rel_tol=REL_TOL)
-        assert math.isclose(c.c2, 0.9045569875473618, rel_tol=REL_TOL)
-        assert math.isclose(c.c3, 0.9544301245263818, rel_tol=REL_TOL)
+        p = make()
+        ring = circular_pincer.expansion(p, REF_SPEED)
+        c1 = ring.b * REF_SPEED / (REF_SPEED + p.VT)
+        assert math.isclose(c1, 9.696195455691626, rel_tol=REL_TOL)
+        assert math.isclose(ring._c2(), 0.9045569875473618, rel_tol=REL_TOL)
+        assert math.isclose(ring.a * c1, 0.9544301245263818, rel_tol=REL_TOL)
 
     def test_subcritical_speed_rejected(self):
         p = make()
         low = circular_pincer.critical_speed(p) * (1.0 - 1e-9)
         with pytest.raises(SubcriticalSpeed):
-            circular_pincer.coeffs(p, low)
+            circular_pincer.expansion(p, low)
 
     def test_budget_vanishes_at_the_critical_speed(self):
         p = make()
@@ -90,10 +93,11 @@ class TestCoeffs:
     @settings(max_examples=100)
     def test_fixed_point_is_the_asymptote(self, case):
         p, Vs = case
-        c = circular_pincer.coeffs(p, Vs)
-        assert 0.0 < c.c2 < 1.0 and c.c1 > 0.0 and c.c3 > 0.0
+        ring = circular_pincer.expansion(p, Vs)
+        c1, c2 = ring.b * Vs / (Vs + p.VT), ring._c2()
+        assert 0.0 < c2 < 1.0 and c1 > 0.0 and ring.a * c1 > 0.0
         assert math.isclose(
-            c.c1 / (1.0 - c.c2), circular_pincer.max_radius(p, Vs), rel_tol=1e-9
+            c1 / (1.0 - c2), circular_pincer.max_radius(p, Vs), rel_tol=1e-9
         )
 
 
@@ -145,7 +149,7 @@ class TestSweepCount:
         p0 = make()
         target = 7
         F = circular_pincer.max_radius(p0, REF_SPEED)
-        c2 = circular_pincer.coeffs(p0, REF_SPEED).c2
+        c2 = circular_pincer.expansion(p0, REF_SPEED)._c2()
 
         def oracle_count(eps):
             return circular_pincer_run(p0.R0, p0.r, p0.VT, p0.n, eps, REF_SPEED).N
@@ -210,7 +214,7 @@ class TestExpansionSchedule:
         p = make()
         steps = circular_pincer.expansion_schedule(p, REF_SPEED)
         F = circular_pincer.max_radius(p, REF_SPEED)
-        c2 = circular_pincer.coeffs(p, REF_SPEED).c2
+        c2 = circular_pincer.expansion(p, REF_SPEED)._c2()
         closed = F + c2 ** (len(steps) - 1) * (p.R0 - F)
         assert math.isclose(steps[-1].R_i, closed, rel_tol=ORACLE_TOL)
 

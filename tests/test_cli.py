@@ -1,6 +1,7 @@
 """CLI and table-emission checks: parsing, exit codes, byte stability."""
 
 import argparse
+import csv
 import json
 import math
 import time
@@ -25,6 +26,12 @@ from oracles import csv_render
 REF = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def csv_rows(path):
+    """The rows of a CSV table, each a dict of its cells' text by column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestListParsing:
@@ -186,10 +193,12 @@ class TestTableModel:
         t.append(-3, 1.0 / 3.0, "spiral-pincer", 0.125)
         path = tmp_path / "t.csv"
         report.write_table(t, path, "csv")
-        back = report.read_table(path)
-        assert back.columns == t.columns
-        assert back.rows[0] == [1, 2.5, "ok", None]
-        assert back.rows[1][1] == pytest.approx(1.0 / 3.0, rel=1e-8)
+        with open(path, newline="", encoding="utf-8") as fh:
+            columns, first, second = csv.reader(fh)
+        assert columns == t.columns
+        a, b, c, d = first
+        assert (int(a), float(b), c, d) == (1, 2.5, "ok", "")  # None is a blank cell
+        assert float(second[1]) == pytest.approx(1.0 / 3.0, rel=1e-8)
 
     def test_numpy_int_cells_are_json_ints(self):
         # CSV writes an np.int64 cell as its digits, so JSON writes its int
@@ -211,9 +220,9 @@ class TestTableModel:
         t.append(0.1 + 0.2, "ok")
         path = tmp_path / "t.json"
         report.write_table(t, path, "json")
-        back = report.read_table(path)
-        assert back.columns == ["x", "status"]
-        assert back.rows == [[0.3, "ok"]]  # pre-rounded to 9 significant digits
+        back = json.loads(path.read_text(encoding="utf-8"))
+        assert back["columns"] == ["x", "status"]
+        assert back["rows"] == [[0.3, "ok"]]  # pre-rounded to 9 significant digits
 
     def test_nine_significant_digits(self):
         t = Table(["x"])
@@ -242,12 +251,6 @@ class TestTableModel:
             add(t)
         assert t.rows == []
 
-    def test_empty_csv_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ConfigError):
-            report.read_table(path)
-
     @pytest.mark.parametrize(
         "columns, rows, text",
         [
@@ -259,12 +262,6 @@ class TestTableModel:
     )
     def test_csv_text(self, columns, rows, text):
         assert report.render_csv(Table(columns, rows)) == text
-
-    def test_format_inferred_from_suffix(self, tmp_path):
-        t = Table(["a"])
-        t.append(1)
-        report.write_table(t, tmp_path / "t.json", "json")
-        assert report.read_table(tmp_path / "t.json").rows == [[1]]
 
 
 _FIELD_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "1", "-", "\t"]), max_size=5)
@@ -615,6 +612,16 @@ class TestExitCodes:
         assert err.startswith("numerical failure") and flag in err
         assert str(simulator.MAX_TICKS) in err
 
+    def test_simulate_past_the_replay_budget_fails(self, capsys):
+        # a hopeless defense of about 2e7 ticks, within the tick budget;
+        # each bin the front brings to the centre replays its whole fall
+        argv = "--protocol spiral-pincer --R0 5 --r 1 --VT 1 --n 2 --Vs 1.05 --mode defense"
+        start = time.perf_counter()
+        assert main(["simulate", *argv.split()]) == 2
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "--bins" in err
+
     def test_simulate_within_the_tick_budget_runs(self, capsys):
         argv = "--Vs 1e3 --mode expansion --max-sweeps 20"
         assert main(["simulate", "--protocol", "circular-pincer", *argv.split()]) == 0
@@ -692,15 +699,14 @@ class TestSubcommands:
     def test_critical_speeds_values(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["critical-speeds", "--n", "2", "--out", str(out)]) == 0
-        table = report.read_table(out)
-        row = dict(zip(table.columns, table.rows[0]))
-        assert row["n"] == 2
-        assert row["V_LB"] == pytest.approx(5.0 * math.pi, rel=1e-8)
-        assert row["Vc_circ_pincer"] == pytest.approx(10.0 * math.pi, rel=1e-8)
-        assert row["Vc_spiral_pincer"] == pytest.approx(
+        row = csv_rows(out)[0]
+        assert int(row["n"]) == 2
+        assert float(row["V_LB"]) == pytest.approx(5.0 * math.pi, rel=1e-8)
+        assert float(row["Vc_circ_pincer"]) == pytest.approx(10.0 * math.pi, rel=1e-8)
+        assert float(row["Vc_spiral_pincer"]) == pytest.approx(
             spiral_pincer.critical_speed(REF), rel=1e-8
         )
-        assert row["Vc_circ_same"] == pytest.approx(10.0 * math.pi + 1.0, rel=1e-8)
+        assert float(row["Vc_circ_same"]) == pytest.approx(10.0 * math.pi + 1.0, rel=1e-8)
         assert row["status"] == "ok"
 
     @pytest.mark.parametrize(
@@ -727,10 +733,9 @@ class TestSubcommands:
         assert main(
             ["totals", "--protocol", "circular-pincer", "--Vs", "20", "--out", str(out)]
         ) == 0
-        table = report.read_table(out)
-        row = dict(zip(table.columns, table.rows[0]))
+        row = csv_rows(out)[0]
         assert row["status"] == "SubcriticalSpeed"
-        assert row["T_total"] is None
+        assert row["T_total"] == ""
 
     def test_schedule_rows_match_sweep_count(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -738,29 +743,26 @@ class TestSubcommands:
             ["schedule", "--protocol", "spiral-pincer", "--Vs", "17.2219",
              "--out", str(out)]
         ) == 0
-        table = report.read_table(out)
+        rows = csv_rows(out)
         want = spiral_pincer.sweep_count(REF, 17.2219)
-        assert len(table.rows) == want
-        first = dict(zip(table.columns, table.rows[0]))
-        assert first["index"] == 0
-        assert first["R_i"] == 100.0
-        assert first["Rtilde_i"] == 110.0
+        assert len(rows) == want
+        first = rows[0]
+        assert int(first["index"]) == 0
+        assert float(first["R_i"]) == 100.0
+        assert float(first["Rtilde_i"]) == 110.0
 
     def test_circular_schedule_has_blank_rtilde(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["schedule", "--protocol", "circular-pincer", "--Vs", "31.9159",
               "--out", str(out)])
-        table = report.read_table(out)
-        col = table.columns.index("Rtilde_i")
-        assert all(row[col] is None for row in table.rows)
+        assert all(row["Rtilde_i"] == "" for row in csv_rows(out))
 
     def test_delta_own_speed_resolution(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["max-radius", "--protocol", "circular-pincer", "--speed-mode",
               "delta-own", "--dV", "10", "--out", str(out)])
-        table = report.read_table(out)
-        row = dict(zip(table.columns, table.rows[0]))
-        assert row["Vs"] == pytest.approx(
+        row = csv_rows(out)[0]
+        assert float(row["Vs"]) == pytest.approx(
             circular_pincer.critical_speed(REF) + 10.0, rel=1e-8
         )
 
@@ -769,28 +771,23 @@ class TestSubcommands:
         main(["max-radius", "--protocol", "spiral-pincer", "--n", "2,4",
               "--speed-mode", "delta-reference", "--ref-protocol", "circular-same",
               "--ref-n", "2", "--dV", "10", "--out", str(out)])
-        table = report.read_table(out)
         base = same_direction.circular_same_critical_speed(REF)
-        i_vs = table.columns.index("Vs")
-        assert all(r[i_vs] == pytest.approx(base + 10.0, rel=1e-8) for r in table.rows)
+        assert all(float(r["Vs"]) == pytest.approx(base + 10.0, rel=1e-8) for r in csv_rows(out))
 
     def test_totals_target_radius(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["totals", "--protocol", "circular-pincer", "--Vs", "31.9159",
               "--target-radius", "101", "--out", str(out)])
-        table = report.read_table(out)
-        row = dict(zip(table.columns, table.rows[0]))
+        row = csv_rows(out)[0]
         asym = circular_pincer.max_radius(REF, 31.9159)
-        assert row["eps"] == pytest.approx(asym - 101.0, rel=1e-8)
-        assert row["R_max"] == pytest.approx(101.0, rel=1e-8)
+        assert float(row["eps"]) == pytest.approx(asym - 101.0, rel=1e-8)
+        assert float(row["R_max"]) == pytest.approx(101.0, rel=1e-8)
 
     def test_totals_target_beyond_asymptote(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["totals", "--protocol", "circular-pincer", "--Vs", "31.9159",
               "--target-radius", "200", "--out", str(out)])
-        table = report.read_table(out)
-        row = dict(zip(table.columns, table.rows[0]))
-        assert row["status"] == "NoExpansion"
+        assert csv_rows(out)[0]["status"] == "NoExpansion"
 
     @pytest.mark.parametrize(
         "Vs, target, status, eps",
@@ -805,11 +802,10 @@ class TestSubcommands:
     def test_totals_target_failure_row_eps(self, tmp_path, Vs, target, status, eps):
         out = tmp_path / "t.csv"
         assert main(["totals", "--Vs", Vs, "--target-radius", target, "--out", str(out)]) == 0
-        table = report.read_table(out)
-        row = dict(zip(table.columns, table.rows[0]))
+        row = csv_rows(out)[0]
         assert row["status"] == status
-        assert row["eps"] == eps
-        assert row["N_n"] is None and row["T_total"] is None
+        assert float(row["eps"]) == eps
+        assert row["N_n"] == "" and row["T_total"] == ""
 
     def test_simulate_defense_rows(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -817,13 +813,13 @@ class TestSubcommands:
             ["simulate", "--protocol", "circular-pincer", "--Vs", "31.9159",
              "--mode", "defense", "--bins", "720", "--out", str(out)]
         ) == 0
-        table = report.read_table(out)
-        assert len(table.rows) == 3  # default defense cycles
-        row = dict(zip(table.columns, table.rows[-1]))
+        rows = csv_rows(out)
+        assert len(rows) == 3  # default defense cycles
+        row = rows[-1]
         assert row["mode"] == "defense"
-        assert row["breaches"] == 0
-        assert row["min_margin"] > 0.0
-        assert row["index"] == 2
+        assert int(row["breaches"]) == 0
+        assert float(row["min_margin"]) > 0.0
+        assert int(row["index"]) == 2
 
     def test_simulate_breach_count_matches_the_report(self, tmp_path):
         Vs = 1.0 + 0.6 * (spiral_pincer.critical_speed(REF) - 1.0)
@@ -835,7 +831,7 @@ class TestSubcommands:
         rep = simulator.run(
             REF, Vs, ProtocolKind.SPIRAL_PINCER, SimConfig(bins=720, mode="defense")
         )
-        counts = {row[-2] for row in report.read_table(out).rows}
+        counts = {int(row["breaches"]) for row in csv_rows(out)}
         assert rep.breach_count > 0
         assert counts == {rep.breach_count} == {len(rep.breaches)}
         assert rep.breaches is rep.breaches

@@ -2,9 +2,10 @@
 only the simulator, and so only `simulate`, loads numpy.
 
 Each case runs in a fresh interpreter, because this one has numpy loaded
-already.
+already. No module imports a name it never uses.
 """
 
+import ast
 import csv
 import json
 import os
@@ -48,6 +49,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     rc = cli.main(["simulate", "--config", "configs/simulate-circular.cfg"])
 print(json.dumps([rc, err.getvalue()]))
 """
+
+PACKAGE = SRC / "sweepdefense"
 
 ALL_PROTOCOLS = "circular-pincer,spiral-pincer,circular-same,spiral-same"
 
@@ -123,3 +126,30 @@ def test_simulate_loads_numpy_and_matches_its_golden(tmp_path, name):
     for row, gold in zip(got[1:], want[1:]):
         assert len(row) == len(gold)
         assert all(map(numeric_cells_close, row, gold)), (row, gold)
+
+
+def unused_imports(source):
+    """Names an import in source binds that no name in it reads, `__all__`
+    counting as a read of each name it lists."""
+    bound, read = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    source = "import os.path\nfrom a import b as c, d\n__all__ = ['d']\nos.sep\n"
+    assert unused_imports(source) == [(2, "c")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_only_what_it_uses(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

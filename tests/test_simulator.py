@@ -69,20 +69,15 @@ class TestConfigValidation:
     def test_speed_at_or_below_threat(self):
         with pytest.raises(SpeedTooLow):
             simulator.run(make(), 1.0, CIRC)
-        with pytest.raises(SpeedTooLow):
-            simulator.run(make(), 0.5, SPIR)
+        for Vs in (1.0, 0.5):
+            with pytest.raises(SpeedTooLow):
+                simulator.run(make(), Vs, SPIR)
 
     def test_degenerate_counts_rejected(self):
         with pytest.raises(ConfigError):
             simulator.run(make(), 40.0, CIRC, SimConfig(cycles=0))
         with pytest.raises(ConfigError):
             simulator.run(make(), 40.0, CIRC, SimConfig(max_sweeps=0))
-
-    def test_margin_curve_speed_grid(self):
-        with pytest.raises(ConfigError):
-            simulator.margin_curve(make(), CIRC, [30.0, 20.0])
-        with pytest.raises(ConfigError):
-            simulator.margin_curve(make(), CIRC, [0.5, 30.0])
 
     def test_explicit_expansion_below_critical(self):
         with pytest.raises(SubcriticalSpeed):
@@ -371,6 +366,26 @@ def test_defense_sweep_is_the_schedules_first():
     assert off == []
 
 
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("n", [2, 8, 32, 128])
+def test_one_motion_sweeps_the_sector_the_schedule_prices(kind, n):
+    # _motion is the one path of every kind: its progress at the planned
+    # duration is the sector, and a spiral sensor's lateral speed at its
+    # innermost radius gives its peak rate
+    for (R0, r, VT), factor, scale in itertools.product(
+        ((100.0, 10.0, 1.0), (50.0, 1.0, 0.5), (400.0, 40.0, 2.0)), (1.05, 1.5, 3.0), (1.0, 1.3)
+    ):
+        params = make(R0=R0, r=r, VT=VT, n=n)
+        Vs = factor * protocols.CRITICAL[kind](params)
+        span, duration = protocols.sweep(params, Vs, kind, scale * R0)
+        planned = simulator._Planned(scale * R0, duration, span, None)
+        progress, inner, rate = simulator._motion(params, Vs, kind, planned)
+        assert progress(duration) == pytest.approx(span, rel=1e-12, abs=0.0)
+        if protocols.is_spiral(kind):
+            lateral = spiral_pincer.lateral_speed(Vs, VT)
+            assert rate * (inner(duration) + r) == pytest.approx(lateral, rel=1e-12, abs=0.0)
+
+
 def peak_rates(params, Vs, kind):
     """Each schedule sweep's peak angular rate: a circular sensor turns at
     Vs/R_i, a spiral one fastest where it is innermost, at the sweep's end."""
@@ -557,9 +572,7 @@ class TestGridInvariance:
     def test_margin_curve_is_ordered_and_rising(self):
         p = make()
         Vc = circular_pincer.critical_speed(p)
-        speeds = [0.9 * Vc, Vc, 1.1 * Vc]
-        curve = simulator.margin_curve(p, CIRC, speeds, SimConfig(bins=720))
-        assert [v for v, _ in curve] == speeds
-        margins = [m for _, m in curve]
+        grid = SimConfig(bins=720, mode="defense")
+        margins = [simulator.run(p, Vs, CIRC, grid).min_margin for Vs in (0.9 * Vc, Vc, 1.1 * Vc)]
         assert margins[0] < margins[1] < margins[2]
         assert margins[0] < 0.0 < margins[2]

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from sweepdefense import (
     NoExpansion,
+    ProtocolKind,
     ScenarioParams,
-    SpeedTooLow,
     SubcriticalSpeed,
     circular_pincer,
+    protocols,
+    simulator,
     spiral_pincer,
     universal_lower_bound,
     validate,
@@ -31,6 +33,15 @@ def make(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.2):
     return validate(ScenarioParams(R0=R0, r=r, VT=VT, n=n, eps=eps))
 
 
+def first_sweep(p, Vs):
+    """The first sweep as the simulator runs it: its duration Tc, polar
+    angle beta(t) and sensor-centre radius Rs(t)."""
+    kind = ProtocolKind.SPIRAL_PINCER
+    span, Tc = protocols.sweep(p, Vs, kind, p.R0)
+    beta, inner, _ = simulator._motion(p, Vs, kind, simulator._Planned(p.R0, Tc, span, None))
+    return Tc, beta, lambda t: inner(t) + p.r
+
+
 @st.composite
 def supercritical_cases(draw):
     """Valid scenario plus a speed at or above the spiral critical speed."""
@@ -48,45 +59,39 @@ def supercritical_cases(draw):
 
 class TestGeometry:
     def test_reference_contraction_factor(self):
-        g = spiral_pincer.spiral_geometry(make(), REF_SPEED)
-        assert math.isclose(g.lam, 0.8329957220069735, rel_tol=REL_TOL)
-        assert math.isclose(g.phi, math.asin(1.0 / REF_SPEED), rel_tol=REL_TOL)
-        assert math.isclose(g.Tc, 18.37047057923292, rel_tol=REL_TOL)
+        p = make()
+        Tc = first_sweep(p, REF_SPEED)[0]
+        lam = spiral_pincer._contraction(p, REF_SPEED)
+        assert math.isclose(lam, 0.8329957220069735, rel_tol=REL_TOL)
+        assert math.isclose(Tc, 18.37047057923292, rel_tol=REL_TOL)
 
     def test_trajectory_starts_on_the_boundary_and_spans_one_sector(self):
         p = make()
-        g = spiral_pincer.spiral_geometry(p, REF_SPEED)
-        assert g.beta(0.0) == 0.0
-        assert g.Rs(0.0) == p.R0 + p.r
+        Tc, beta, Rs = first_sweep(p, REF_SPEED)
+        assert beta(0.0) == 0.0
+        assert Rs(0.0) == p.R0 + p.r
         # after one full sweep the polar angle is exactly the pair sector
-        assert math.isclose(g.beta(g.Tc), 2.0 * math.pi / p.n, rel_tol=1e-12)
-        assert g.Rs(g.Tc) < g.Rs(0.0)
+        assert math.isclose(beta(Tc), 2.0 * math.pi / p.n, rel_tol=1e-12)
+        assert Rs(Tc) < Rs(0.0)
 
     def test_angular_rate_matches_the_radial_decay(self):
         # d(beta)/dt * Rs(t) should equal sqrt(Vs^2 - VT^2) all along the
         # sweep; probe the closed form with central differences.
         p = make()
         Vs = REF_SPEED
-        g = spiral_pincer.spiral_geometry(p, Vs)
+        Tc, beta, Rs = first_sweep(p, Vs)
         speed = math.sqrt(Vs * Vs - p.VT * p.VT)
-        h = 1e-7 * g.Tc
+        h = 1e-7 * Tc
         for k in range(10):
-            t = (k / 10.0) * (g.Tc - 2 * h) + h
-            rate = (g.beta(t + h) - g.beta(t - h)) / (2.0 * h)
-            assert math.isclose(rate * g.Rs(t), speed, rel_tol=1e-6), f"t={t}"
+            t = (k / 10.0) * (Tc - 2 * h) + h
+            rate = (beta(t + h) - beta(t - h)) / (2.0 * h)
+            assert math.isclose(rate * Rs(t), speed, rel_tol=1e-6), f"t={t}"
 
     def test_fast_sweeps_tend_to_no_contraction(self):
         p = make()
-        slow = spiral_pincer.spiral_geometry(p, 5.0)
-        fast = spiral_pincer.spiral_geometry(p, 5000.0)
-        assert slow.lam < fast.lam < 1.0
-        assert fast.phi < slow.phi < 0.5 * math.pi
-
-    def test_speed_at_or_below_threat_rejected(self):
-        p = make()
-        for Vs in (p.VT, 0.5 * p.VT):
-            with pytest.raises(SpeedTooLow):
-                spiral_pincer.spiral_geometry(p, Vs)
+        slow = spiral_pincer._contraction(p, 5.0)
+        fast = spiral_pincer._contraction(p, 5000.0)
+        assert slow < fast < 1.0
 
 
 class TestCriticalSpeed:
@@ -118,7 +123,7 @@ class TestCriticalSpeed:
     def test_balance_identity_at_the_root(self):
         p = make()
         root = spiral_pincer.critical_speed(p)
-        lam = spiral_pincer.spiral_geometry(p, root).lam
+        lam = spiral_pincer._contraction(p, root)
         lhs = (p.R0 + p.r) * (1.0 - lam)
         rhs = 2.0 * p.r * root / (root + p.VT)
         assert abs(lhs - rhs) <= 1e-9 * p.r
@@ -321,7 +326,7 @@ class TestTotals:
 
     def test_outward_time_closed_form(self):
         p = make()
-        lam = spiral_pincer.spiral_geometry(p, REF_SPEED).lam
+        lam = spiral_pincer._contraction(p, REF_SPEED)
         closed = (lam * (p.R0 + p.r + p.eps) + p.r - p.R0 - p.eps) / (
             REF_SPEED * (1.0 - lam)
         )

@@ -33,17 +33,20 @@ BASE = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 
 
 def planned_phases(params, Vs, kind, grid):
-    """The run's mode and every (sweep phase, advance or None) it steps."""
+    """The run's mode and every (sweep phase, its progress s(t), its
+    sensor's inner radius at t, advance or None) it steps."""
     mode, sweeps, repeats, _, _ = simulator._plan(params, Vs, kind, grid)
-    return mode, list(simulator._phases(params, Vs, kind, sweeps, repeats))
+    phases = simulator._phases(params, kind, sweeps, repeats)
+    motion = simulator._motion
+    return mode, [(ph, *motion(params, Vs, kind, p)[:2], p.advance) for ph, p in phases]
 
 
 def oracle_phases(phases):
     out = []
-    for ph, advance in phases:
+    for ph, progress, inner, advance in phases:
         out.append(
             oracles.OracleSweep(
-                ph.index, ph.duration, ph.span, ph.progress, ph.inner,
+                ph.index, ph.duration, ph.span, progress, inner,
                 ph.starts.tolist(), ph.dirs.tolist(),
             )
         )
@@ -287,10 +290,10 @@ def test_run_counts_its_work():
     _, phases = planned_phases(params, 1.2, kind, grid)
     centers = (np.arange(grid.bins) + 0.5) * (2.0 * math.pi / grid.bins)
     ticks = crossings = passes = 0
-    for ph, _ in phases:
+    for ph, progress, _, _ in phases:
         h = simulator._tick_lengths(ph.duration, rep.dt)
         t = np.cumsum(h)
-        s = np.maximum.accumulate(np.append(ph.progress(t[:-1]), ph.span))
+        s = np.maximum.accumulate(np.append(progress(t[:-1]), ph.span))
         _, j, _, _, rank = oracles.sorted_crossings(ph, centers, s, simulator._EDGE_SNAP)
         ticks, crossings, passes = ticks + len(h), crossings + len(j), passes + int(rank.max()) + 1
     assert passes > len(rep.sweeps)
