@@ -37,6 +37,19 @@ two entries keep an expansion's memory from growing with its sweeps. The
 work counts (crossings, clearing passes) still count every phase, and
 `searches` counts the searches run.
 
+A kept shape holds its crossings as clearing passes, one per rank of a
+crossing among those of its bin, each in bin order, with what clearing
+needs at hand: each crossing's decay level, sensor outer tip and tick.
+A sweep over the whole ring meets every bin at rank 0, so its first pass
+is bins 0..M-1 in order, laid out by one scatter and played on the
+frontier's whole arrays through slice(None); pincer meetings and
+same-direction overlaps keep their bin arrays, played by the same
+expressions. A radius read rules out the near-centre replay with one
+reduction: no stored radius exceeds top (R0 or the largest outer tip
+seen), so where every lazy radius is above 4e-9 * top no bin can be
+within the replay test's 1e-9 * (value + fallen) of 0. Otherwise the
+exact test runs, and replays near bins in the search's order.
+
 The first sweep is a warm-up artifact of starting the frontier exactly at
 R0 with the sensors still on their marks, so its margins and breaches are
 excluded from reporting; steady state begins with the second sweep.
@@ -274,7 +287,8 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
     next sweep: the schedule counts only the effective outward time
     delta_eff/Vs, re-anchoring the sensor on the frontier where the next
     sweep's bookkeeping starts. A defense plays the schedule's first
-    sweep `cycles` times, without a list that long. Circular sensors stay
+    sweep `cycles` times, without a list that long, and needs at least
+    two: its first is the warm-up. Circular sensors stay
     put between sweeps; spiral sensors end each a full sensor length
     below the frontier and climb back during a gap-closing advance of
     2r/(Vs+VT).
@@ -293,6 +307,10 @@ def _plan(params: ScenarioParams, Vs: float, kind: ProtocolKind, grid: SimConfig
             played = min(summary.N_n, grid.max_sweeps or summary.N_n)
             repeats, R_ref = 1, summary.R_asym
     if mode == "defense":
+        if grid.cycles < 2:
+            # the first sweep is the warm-up, which reports nothing
+            raise ConfigError(f"cycles={grid.cycles}: a defense reports from its second sweep "
+                              f"on; raise --cycles to at least 2")
         played, repeats, R_ref = 1, grid.cycles, params.R0 + 2.0 * params.r
     span, duration = protocols.sweep(params, Vs, kind, params.R0)
     first = _Planned(params.R0, duration, span, None)
@@ -400,9 +418,10 @@ class _Frontier:
     clamp at 0. The decay since the phase began is a running level, so
     bin j, set to value[j] when the level stood at base[j], has radius
     max(value - (level - base), 0): a step costs nothing until a sensor
-    crosses the bin. Only the current phase's steps are held, from the
-    tick arrays of the two latest (duration, dt) pairs; earlier phases are
-    rebuilt from their duration when a bin's fall is replayed.
+    crosses the bin. No value exceeds top. Only the current phase's steps
+    are held, from the tick arrays of the two latest (duration, dt) pairs;
+    earlier phases are rebuilt from their duration when a bin's fall is
+    replayed.
     """
 
     def __init__(self, bins: int, R0: float, VT: float):
@@ -411,6 +430,7 @@ class _Frontier:
         self.base = np.zeros(bins)
         self.ref = np.zeros(bins, dtype=np.int64)  # first step after the set
         self.center_hit = np.zeros(bins, dtype=bool)
+        self.top = float(R0)  # at least every value stored: raised by _sweep
         self.firsts: List[int] = []  # first step of every phase begun
         self.phases: List[Tuple[float, Optional[float]]] = []  # (duration, dt)
         # (duration, dt) -> read-only step lengths h, drops VT*h and levels
@@ -443,40 +463,47 @@ class _Frontier:
         drop = self.VT * h
         return _read_only(h, drop, np.cumsum(drop))
 
-    def radius(self, j: np.ndarray, k: np.ndarray, level: np.ndarray) -> np.ndarray:
-        """Radii of bins j after ticks k of this phase, at decay levels
-        level = self.levels[k]."""
-        return self._radius(j, level, self.first + k)
-
     def settle(self) -> np.ndarray:
         """Radii of all bins after the last step so far, read from the
         whole value and base arrays."""
-        return self._radius(slice(None), self.level, self.steps - 1)
+        return self._radius(slice(None), self.level, self.steps - self.first)
 
-    def clear(self, j: np.ndarray, k: np.ndarray, level: np.ndarray, rho: np.ndarray) -> None:
-        """Set bins j to rho just after ticks k of this phase, at decay
-        levels level = self.levels[k]."""
+    def clear(self, p: "_Pass") -> np.ndarray:
+        """Play one clearing pass of this phase: read the radius each of
+        its crossings meets, then set its bins to the larger of that and
+        the sensor's outer tip, as of just after each crossing's tick."""
         self.passes += 1
-        self.value[j] = rho
-        self.base[j] = level
-        self.ref[j] = self.first + k + 1
+        met = self._radius(p.bins, p.level, p.k1, p.order)
+        self.value[p.bins] = np.maximum(met, p.floor)
+        self.base[p.bins] = p.level
+        self.ref[p.bins] = self.first + p.k1
+        return met
 
-    def _radius(self, j, level, step) -> np.ndarray:
-        """Radii of bins j, an index array or slice(None) for every bin.
+    def _radius(self, j, level, k1, order=None) -> np.ndarray:
+        """Radii of bins j, an index array or slice(None) for every bin, at
+        decay levels level, as of k1 steps into this phase.
 
         Bins whose lazy radius is near 0 are replayed step by step from
         their value, subtracting VT*h as a tick loop does, so a center hit
-        lands on the tick where the running radius first reaches 0."""
+        lands on the tick where the running radius first reaches 0; they
+        are replayed in `order`, when given, else in bin order. One
+        reduction first rules out every near bin at once: where lazy > 0,
+        fallen = value - lazy <= value <= top, so the near test's bound
+        1e-9 * (value + fallen) is at most 2e-9 * top, and once every lazy
+        radius exceeds 4e-9 * top no bin can pass it."""
         value = self.value[j]
         fallen = level - self.base[j]
         lazy = value - fallen
-        near = np.flatnonzero(lazy <= 1e-9 * (value + fallen))
-        if near.size:
-            bins = near if isinstance(j, slice) else j[near]
-            todo = ~self.center_hit[bins]
-            ends = np.broadcast_to(step, lazy.shape)[near[todo]]
-            for b, end in zip(bins[todo].tolist(), ends.tolist()):
-                self._replay(b, end)
+        if not lazy.min() > 4e-9 * self.top:
+            near = np.flatnonzero(lazy <= 1e-9 * (value + fallen))
+            if near.size:
+                if order is not None:
+                    near = near[np.argsort(order[near])]
+                bins = near if isinstance(j, slice) else j[near]
+                todo = ~self.center_hit[bins]
+                ends = self.first - 1 + np.broadcast_to(k1, lazy.shape)[near[todo]]
+                for b, end in zip(bins[todo].tolist(), ends.tolist()):
+                    self._replay(b, end)
         return np.maximum(lazy, 0.0)
 
     def _drops(self, q: int) -> np.ndarray:
@@ -617,20 +644,43 @@ def _track(
     return _Track(*_read_only(s, inner(t_local)))
 
 
+class _Pass(NamedTuple):
+    """One clearing pass of a sweep shape, kept with the shape. Its
+    crossings are a slice of the shape's pass order, in bin order. The
+    frontier index of their bins is slice(None) when the pass is bins
+    0..M-1, and their bin array otherwise. Per crossing it keeps the
+    decay level levels[k], the sensor's outer tip inner + 2r, k + 1, and
+    the crossing's place in the search's order, in which near bins are
+    replayed."""
+
+    sel: slice
+    bins: Union[slice, np.ndarray]
+    level: np.ndarray
+    floor: np.ndarray
+    k1: np.ndarray
+    order: np.ndarray
+
+
 @dataclass(frozen=True)
 class _Shape:
-    """The crossings of one sweep shape, searched once per run: defender,
-    bin, distance and tick of each, the sensor's inner radius then, and
-    the crossings each clearing pass takes, in pass order. Read-only.
-    Defenders are numbered as in the phase searched: sweep `index`, at
-    `turn`."""
+    """The crossings of one sweep shape, searched once per run. Read-only.
+
+    d, j, x and k (defender, bin, distance, tick) are in the search's
+    order. The clearing passes lay the crossings out in pass order:
+    grouped by pass, in bin order within each. order maps pass order to
+    search order, and inner (the sensor's inner radius at each crossing)
+    is in pass order, as is the radius _sweep returns. top is the largest
+    sensor outer tip. Defenders are numbered as in the phase searched:
+    sweep `index`, at `turn`."""
 
     d: np.ndarray
     j: np.ndarray
     x: np.ndarray
     k: np.ndarray
+    order: np.ndarray
     inner: np.ndarray
-    passes: Tuple[Union[slice, np.ndarray], ...]
+    passes: Tuple[_Pass, ...]
+    top: float
     index: int
     turn: int
 
@@ -640,10 +690,9 @@ class _Shape:
         first access. A bin's ranks run in tick order, so such a pair
         holds adjacent ranks."""
         tick = np.full(int(self.j.max(initial=-1)) + 1, -1, dtype=np.int64)
-        j, k = self.j, self.k
-        for before, sel in zip(self.passes, self.passes[1:]):
-            tick[j[before]] = k[before]
-            if (tick[j[sel]] == k[sel]).any():
+        for before, after in zip(self.passes, self.passes[1:]):
+            tick[before.bins] = before.k1
+            if (tick[after.bins] == after.k1).any():
                 return True
         return False
 
@@ -657,29 +706,56 @@ def _shape_key(phase: _SweepPhase) -> Hashable:
     return phase.anchor, phase.duration, phase.span, starts, dirs
 
 
-def _shape(phase: _SweepPhase, track: _Track, centers: np.ndarray) -> _Shape:
-    """Search the crossings of a sweep phase along its track."""
+def _shape(
+    phase: _SweepPhase, track: _Track, centers: np.ndarray, levels: np.ndarray, two_r: float
+) -> _Shape:
+    """Search the crossings of a sweep phase along its track, whose ticks
+    end at decay levels `levels`, and lay them out in pass order.
+
+    A bin met by several sensors (pincer meetings, same-direction
+    overlap) takes them in tick and then defender order, one pass each:
+    pass r holds every crossing of rank r. The rank-0 crossings hold each
+    bin met once, so where the sweep meets every bin their bin order is
+    one scatter of their places; otherwise, and for the later crossings,
+    it is a stable sort by (rank, bin), quick on keys that come in runs,
+    defender by defender."""
     d, j, x, k, rank = _crossings(phase, centers, track.s)
-    # a bin met by several sensors (pincer meetings, same-direction
-    # overlap) takes them in tick and then defender order, one pass each
-    count = int(rank.max()) + 1 if len(j) else 0
-    if count == 1:
-        passes = (slice(None),)
+    M = len(centers)
+    lead, rest = np.flatnonzero(rank == 0), np.flatnonzero(rank)
+    if len(lead) == M:
+        order = np.empty(M, dtype=np.int64)
+        order[j[lead]] = lead
     else:
-        passes = _read_only(*(np.flatnonzero(rank == r) for r in range(count)))
-    return _Shape(*_read_only(d, j, x, k, track.inner[k]), passes, phase.index, phase.turn)
+        order = lead[np.argsort(j[lead], kind="stable")]
+    sizes = [len(lead)]
+    if rest.size:
+        later = rest[np.argsort(rank[rest] * M + j[rest], kind="stable")]
+        order = np.concatenate((order, later))
+        sizes += np.bincount(rank[later])[1:].tolist()
+    kp = k[order]
+    inner = track.inner[kp]
+    level, floor, k1 = levels[kp], inner + two_r, kp + 1
+    _read_only(d, j, x, k, order, inner, level, floor, k1)
+    passes, lo = [], 0
+    for size in sizes:
+        sel = slice(lo, lo + size)
+        bins = slice(None) if size == M else _read_only(j[order[sel]])[0]
+        passes.append(_Pass(sel, bins, level[sel], floor[sel], k1[sel], order[sel]))
+        lo += size
+    top = float(floor.max(initial=0.0))
+    return _Shape(d, j, x, k, order, inner, tuple(passes), top, phase.index, phase.turn)
 
 
-def _sweep(front: _Frontier, shape: _Shape, two_r: float) -> np.ndarray:
-    """Clear every crossing of the sweep phase the frontier has just begun;
-    returns the frontier radius each crossing's sensor met."""
-    j, k, inner = shape.j, shape.k, shape.inner
-    rho = np.empty(len(j))
-    for sel in shape.passes:
-        js, ks = j[sel], k[sel]
-        level = front.levels[ks]
-        rho[sel] = met = front.radius(js, ks, level)
-        front.clear(js, ks, level, np.maximum(met, inner[sel] + two_r))
+def _sweep(front: _Frontier, shape: _Shape) -> np.ndarray:
+    """Clear every crossing of the sweep phase the frontier has just begun,
+    pass by pass; returns the frontier radius each crossing's sensor met,
+    in pass order. A pass over every bin reads and writes the frontier's
+    whole arrays through slice(None); any other, through its bin array,
+    by the same expressions."""
+    front.top = max(front.top, shape.top)
+    rho = np.empty(len(shape.j))
+    for p in shape.passes:
+        rho[p.sel] = front.clear(p)
     return rho
 
 
@@ -723,12 +799,13 @@ def run(
         h = front.begin(phase.duration, dt)
         make_track = partial(_track, params, Vs, kind, sweep, h)
         track = _recent(tracks, (sweep.anchor, sweep.duration), make_track)
-        key, search = _shape_key(phase), partial(_shape, phase, track, centers)
+        key = _shape_key(phase)
+        search = partial(_shape, phase, track, centers, front.levels, 2.0 * params.r)
         shape = _recent(shapes, key, search)
         if shape.turn != phase.turn and shape.tied:
             # a tied pair clears in defender order: each turn its own search
             shape = _recent(shapes, (key, phase.turn), search)
-        rho = _sweep(front, shape, 2.0 * params.r)
+        rho = _sweep(front, shape)
         ticks += len(h)
         searches += shape.index == phase.index  # searched for this phase
         crossings += len(rho)
@@ -738,11 +815,11 @@ def run(
             min_margin = min(min_margin, sweep_margin)
             if not sweep_margin >= -grid_tolerance:  # a clean sweep records nothing
                 bad = margins < -grid_tolerance
-                d = shape.d[bad]
+                at = shape.order[bad]  # the breaching crossings, in search order
+                d = shape.d[at]
                 if shape.turn != phase.turn:  # renumber to this turn's defenders
                     d = (d + (shape.turn - phase.turn)) % params.n
-                rest = (a[bad] for a in (shape.x, shape.j, rho, shape.inner))
-                front.record(shape.k[bad], d, *rest)
+                front.record(shape.k[at], d, shape.x[at], shape.j[at], rho[bad], shape.inner[bad])
 
         rho_end = front.settle()
         sweeps.append(

@@ -622,6 +622,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure") and "--bins" in err
 
+    @pytest.mark.parametrize("mode", ["defense", "auto"])
+    def test_one_cycle_defense_is_refused(self, capsys, mode):
+        # Vs 20 is below the circular pincer's Vc of about 31.4, so auto
+        # defends too; the one sweep would be the warm-up, which reports
+        # nothing, and the row would read ok with no margin
+        argv = ["simulate", "--mode", mode, "--cycles", "1", "--bins", "360", "--Vs", "20"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--cycles" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", ["defense", "expansion"])
+    def test_zero_cycles_keeps_its_error(self, capsys, mode):
+        argv = ["simulate", "--mode", mode, "--cycles", "0", "--bins", "360", "--Vs", "40"]
+        assert main(argv) == 1
+        assert "need at least one defense cycle" in capsys.readouterr().err
+
+    def test_one_cycle_expansion_ignores_cycles(self, capsys):
+        argv = "simulate --mode expansion --cycles 1 --bins 360 --Vs 40 --max-sweeps 2"
+        assert main(argv.split()) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",0,ok") for row in rows)
+
     def test_simulate_within_the_tick_budget_runs(self, capsys):
         argv = "--Vs 1e3 --mode expansion --max-sweeps 20"
         assert main(["simulate", "--protocol", "circular-pincer", *argv.split()]) == 0

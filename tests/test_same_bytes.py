@@ -12,8 +12,11 @@ schedules at several eps, one of which leaves no target above R0 and,
 in some, one that a run cannot reach (exit 2), before or after the rest;
 totals and sweep counts at an eps so small that the radius stalls short
 of its target (exit 2); one full, uncapped simulated expansion per kind;
-one simulator run each at an odd bin count and at a given tick; and one
-schedule per kind at two eps, the farther target first.
+one simulator run each at an odd bin count and at a given tick; one
+schedule per kind at two eps, the farther target first; the benchmark's
+defense shapes at the default 3600 bins, one speed below and one above
+each kind's critical speed; a hopeless defense whose replay budget runs
+out (exit 2); and one table each as JSON and at delta-reference speeds.
 
 After a change that is meant to move numbers, rewrite the hashes with
 
@@ -33,7 +36,8 @@ from pathlib import Path
 
 import pytest
 
-from sweepdefense import cli
+from sweepdefense import cli, protocols
+from sweepdefense.scenario import ProtocolKind, ScenarioParams
 
 REPO = Path(__file__).resolve().parent.parent
 HASHES = Path(__file__).resolve().parent / "golden" / "same_bytes.json"
@@ -92,6 +96,21 @@ def commands():
         # rows already written
         yield ["schedule", "--protocol", kind, "--n", "2,16", "--speed-mode", "delta-own",
                "--dV", "0.5,3", "--eps", "1e-3,0.1"]
+    for kind, n in itertools.product(KINDS, (2, 32, 128)):
+        # speeds a quarter of the way down to VT and 16% above critical,
+        # to 4 digits, so a last-bit change in Vc keeps the command
+        params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
+        Vc = protocols.CRITICAL[ProtocolKind(kind)](params)
+        yield ["simulate", "--mode", "defense", "--cycles", "3", "--R0", "400", "--r", "10",
+               "--VT", "1", "--eps", "0.1", "--n", str(n), "--protocol", kind,
+               "--Vs", f"{1.0 + 0.75 * (Vc - 1.0):.4g},{1.16 * Vc:.4g}"]
+    # the front reaches the centre and its replays pass MAX_TICKS steps
+    yield ["simulate", "--protocol", "spiral-pincer", "--R0", "5", "--r", "1", "--VT", "1",
+           "--n", "2", "--Vs", "1.05", "--mode", "defense", "--bins", "360"]
+    yield ["totals", "--protocol", ",".join(KINDS), "--n", "2,8", "--speed-mode", "delta-own",
+           "--dV", "0.5,3", "--format", "json"]
+    yield ["max-radius", "--protocol", ",".join(KINDS), "--n", "2,8", "--speed-mode",
+           "delta-reference", "--ref-protocol", "spiral-pincer", "--ref-n", "4", "--dV", "1,5"]
 
 
 def run(argv):

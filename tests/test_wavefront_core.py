@@ -336,3 +336,125 @@ def test_breach_log_is_sorted_when_first_read(params, Vs, kind):
     close = 1e-9 * params.R0
     assert np.abs(log["rho_at_pass"] - [b[2] for b in ref.breaches]).max() <= close
     assert np.abs(log["sensor_inner"] - [b[3] for b in ref.breaches]).max() <= close
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("n", [2, 32, 128])
+@pytest.mark.parametrize("bins", [3600, 3601])
+def test_passes_lay_crossings_out_in_bin_order(monkeypatch, kind, n, bins):
+    # a kept shape groups its crossings by rank, in bin order within each
+    # rank; the first pass meets every bin once and is played through
+    # slice(None), and pincer meetings and same-direction overlaps keep
+    # their bin arrays. At 3601 bins the bin centre opposite 0 sits on a
+    # pincer sector edge, at 3600 and n >= 32 several do
+    params = ScenarioParams(R0=400.0, r=10.0, VT=1.0, n=n, eps=0.1)
+    Vs = 1.1 * CRITICAL[kind](params)
+    search = simulator._shape
+    kept = []
+
+    def recorded(phase, track, centers, levels, two_r):
+        shape = search(phase, track, centers, levels, two_r)
+        kept.append((shape, phase, track.s, levels, two_r))
+        return shape
+
+    monkeypatch.setattr(simulator, "_shape", recorded)
+    simulator.run(params, Vs, kind, SimConfig(bins=bins, mode="defense"))
+    centers = (np.arange(bins) + 0.5) * (2.0 * math.pi / bins)
+    assert len(kept) == (2 if protocols.is_pincer(kind) else 1)
+    for shape, phase, s, levels, two_r in kept:
+        first, *later = shape.passes
+        assert first.sel == slice(0, bins) and first.bins == slice(None)
+        assert sorted(shape.order.tolist()) == list(range(len(shape.j)))
+        _, j, _, k, rank = oracles.sorted_crossings(phase, centers, s, simulator._EDGE_SNAP)
+        want = sorted(zip(rank.tolist(), j.tolist(), k.tolist()))
+        got = []
+        for r, p in enumerate(shape.passes):
+            at = shape.order[p.sel]
+            pj, pk = shape.j[at], shape.k[at]
+            if p is not first:
+                assert isinstance(p.bins, np.ndarray) and p.bins.tolist() == pj.tolist()
+            assert (np.diff(pj) > 0).all()
+            assert p.order.tolist() == at.tolist()
+            assert p.k1.tolist() == (pk + 1).tolist()
+            assert p.level.tolist() == levels[pk].tolist()
+            assert p.floor.tolist() == (shape.inner[p.sel] + two_r).tolist()
+            got += [(r, b, t) for b, t in zip(pj.tolist(), pk.tolist())]
+        assert got == want
+        assert shape.top == max(p.floor.max() for p in shape.passes)
+        if not protocols.is_pincer(kind) or n > 2 or bins == 3601:
+            assert later, "the comparison should cover passes after the first"
+
+
+def test_some_bins_of_a_full_pass_near_the_centre_match_tick_loop():
+    # hopeless: the front reaches the centre in only some bins of a pass
+    # over every bin, so the one-reduction check cannot rule the pass out
+    # and the exact near-centre test picks those bins out
+    params = ScenarioParams(R0=20.0, r=1.0, VT=1.0, n=4, eps=0.1)
+    grid = SimConfig(bins=720, mode="defense", capture_profiles=True)
+    rep = assert_matches_oracle(params, 1.5, ProtocolKind.CIRCULAR_SAME_DIRECTION, grid)
+    assert 0 < len(rep.center_hits) < grid.bins
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_tied_shape_at_twice_the_bins_matches_tick_loop(below):
+    # n = 2 * bins: a tick can carry two neighbours over one bin, so each
+    # turn is searched apart and its later passes keep bin arrays
+    params = ScenarioParams(R0=100.0, r=40.0, VT=1.0, n=1440, eps=0.1)
+    kind = ProtocolKind.CIRCULAR_SAME_DIRECTION
+    Vc = CRITICAL[kind](params)
+    Vs = params.VT + 0.5 * (Vc - params.VT) if below else 1.2 * Vc
+    rep = assert_matches_oracle(params, Vs, kind, SimConfig(bins=720, mode="defense", cycles=3))
+    assert rep.searches == len(rep.sweeps) == 3
+
+
+def test_center_hits_keep_the_search_order(monkeypatch):
+    # near bins are replayed in the order the search found them, which
+    # sets the center-hit list and the count a refused run reports. The
+    # reference run lays each pass out in that order and clears it through
+    # bin arrays, as runs did before passes were put in bin order
+    params = ScenarioParams(R0=5.0, r=1.0, VT=1.0, n=2, eps=0.1)
+    kind = ProtocolKind.CIRCULAR_SAME_DIRECTION
+    grid = SimConfig(bins=720, mode="defense")
+    rep = simulator.run(params, 1.5, kind, grid)
+
+    def in_search_order(phase, track, centers, levels, two_r):
+        d, j, x, k, rank = simulator._crossings(phase, centers, track.s)
+        order = np.argsort(rank, kind="stable")
+        kp = k[order]
+        inner = track.inner[kp]
+        passes, lo = [], 0
+        for size in np.bincount(rank).tolist():
+            sel = slice(lo, lo + size)
+            at = order[sel]
+            floor = inner[sel] + two_r
+            passes.append(simulator._Pass(sel, j[at], levels[kp[sel]], floor, kp[sel] + 1, at))
+            lo += size
+        top = float((inner + two_r).max())
+        return simulator._Shape(
+            d, j, x, k, order, inner, tuple(passes), top, phase.index, phase.turn
+        )
+
+    monkeypatch.setattr(simulator, "_shape", in_search_order)
+    ref = simulator.run(params, 1.5, kind, grid)
+    assert len(ref.center_hits) > 0
+    assert rep.center_hits == ref.center_hits
+    assert (rep.sweeps, rep.replayed_bins) == (ref.sweeps, ref.replayed_bins)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("mode", ["defense", "expansion"])
+def test_top_bounds_every_frontier_value(monkeypatch, kind, mode):
+    # the near-centre check is skipped only when every lazy radius exceeds
+    # 4e-9 * top, which is exact only while no value is above top
+    sweep = simulator._sweep
+    seen = []
+
+    def checked(front, shape):
+        rho = sweep(front, shape)
+        seen.append(front.value.max() <= front.top)
+        return rho
+
+    monkeypatch.setattr(simulator, "_sweep", checked)
+    Vs = CRITICAL[kind](BASE) * (0.9 if mode == "defense" else 1.5)
+    simulator.run(BASE, Vs, kind, SimConfig(bins=720, mode=mode, max_sweeps=4))
+    assert len(seen) >= 3 and all(seen)
