@@ -11,12 +11,27 @@ formatted value, so the two encodings carry identical numbers and
 repeated runs are byte-identical. Missing values (a blank cell in CSV,
 null in JSON) stand for fields a row legitimately lacks, like the
 spiral-only bookkeeping radius on circular rows.
+
+A table and its sidecar go through one writer. It opens the target
+without truncating it, writes the UTF-8 bytes from the start and then,
+where the target is a regular file, cuts it to the length written, so a
+file that already exists is rewritten in place and keeps its inode and
+permission bits. That is no more atomic than a truncating write (a
+reader may meet a mix of new and old bytes, and so may a failed write's
+target), and nothing is fsynced. Pipes and devices are written to but
+never cut, and a sidecar is written only beside a regular file. Why:
+ext4 (auto_da_alloc, its default) flushes a file truncated to 0 and
+written anew, and a file renamed over another. Rewriting a 5 kB table
+cost about 100 us either way on an ext4 root mounted with discard (a
+shared 2-vCPU Linux container), against 12 us in place.
 """
 
 import csv
 import json
 import math
 import operator
+import os
+import stat
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -219,8 +234,17 @@ def render(table: Table, fmt: str) -> str:
     raise ConfigError(f"format={fmt!r}: expected csv or json")
 
 
+def _write(path: Union[str, Path], text: str) -> None:
+    """Write text as UTF-8 over the start of path, then cut a regular
+    file to that length: open(path, "w") without its O_TRUNC."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def write_table(table: Table, path: Union[str, Path], fmt: str) -> None:
-    Path(path).write_text(render(table, fmt), encoding="utf-8")
+    _write(path, render(table, fmt))
 
 
 def meta_path(out: Union[str, Path]) -> Path:
@@ -228,10 +252,13 @@ def meta_path(out: Union[str, Path]) -> Path:
 
 
 def write_meta(out: Union[str, Path], meta: dict) -> None:
-    """Sidecar recording how a table was produced.
+    """Sidecar recording how a table was produced, written only where
+    out is a regular file: beside a pipe or a device, as /dev/null, none.
 
     Holds the resolved config and library version only; nothing
     time-dependent, so reruns stay byte-identical.
     """
+    if not os.path.isfile(out):
+        return
     text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    meta_path(out).write_text(text, encoding="utf-8")
+    _write(meta_path(out), text)

@@ -2,8 +2,12 @@
 
 import argparse
 import csv
+import filecmp
 import json
 import math
+import os
+import stat
+import threading
 import time
 import tracemalloc
 from dataclasses import fields
@@ -26,6 +30,19 @@ from oracles import csv_render
 REF = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+EXPECTED_DIR = Path(__file__).resolve().parent.parent / "bench" / "expected"
+# the shipped analytic configs, each with its subcommand
+ANALYTIC = {
+    "baseline-comparison": "totals",
+    "defense-speeds": "critical-speeds",
+    "expansion-times": "totals",
+    "reach-circular": "max-radius",
+    "reach-comparison": "max-radius",
+    "schedule-circular": "schedule",
+    "schedule-spiral": "schedule",
+    "sweeps-circular": "sweep-count",
+    "sweeps-spiral": "sweep-count",
+}
 
 
 def csv_rows(path):
@@ -994,6 +1011,49 @@ class TestOutputStability:
         main(["critical-speeds", "--n", "2"])
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC))
+    def test_rewrite_over_longer_files_holds_only_the_new_bytes(self, tmp_path, name):
+        argv = [ANALYTIC[name], "--config", str(CONFIG_DIR / f"{name}.cfg")]
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "t.csv"
+        assert main(argv + ["--out", str(fresh)]) == 0
+        for path in (out, report.meta_path(out)):
+            path.write_bytes(b"x" * 200_000)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert filecmp.cmp(out, EXPECTED_DIR / f"{name}.csv", shallow=False)
+        assert filecmp.cmp(report.meta_path(out), report.meta_path(fresh), shallow=False)
+
+    def test_rewrite_keeps_the_inode_and_mode(self, tmp_path):
+        out = tmp_path / "t.csv"
+        argv = ["critical-speeds", "--n", "2,4", "--out", str(out)]
+        assert main(argv) == 0
+        paths = (out, report.meta_path(out))
+        for path in paths:
+            path.chmod(0o640)
+        inodes = [path.stat().st_ino for path in paths]
+        assert main(argv) == 0
+        assert [(path.stat().st_ino, stat.S_IMODE(path.stat().st_mode)) for path in paths] == [
+            (inode, 0o640) for inode in inodes
+        ]
+
+    def test_write_to_a_device_is_not_cut(self):
+        table = Table(["a", "b"], [[1, 2.5]])
+        report.write_table(table, os.devnull, "csv")
+
+    def test_no_sidecar_beside_a_fifo(self, capsys, tmp_path):
+        argv = ["critical-speeds", "--n", "2,4"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode("utf-8")
+        fifo = tmp_path / "t.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(argv + ["--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [want]
+        assert list(tmp_path.iterdir()) == [fifo]
 
     def test_json_format_selected(self, tmp_path):
         out = tmp_path / "t.json"

@@ -441,6 +441,41 @@ def test_center_hits_keep_the_search_order(monkeypatch):
     assert (rep.sweeps, rep.replayed_bins) == (ref.sweeps, ref.replayed_bins)
 
 
+def test_a_lazy_radius_just_above_zero_is_replayed_to_its_hit():
+    # the case the near-centre tolerance exists for: a bin whose lazy
+    # radius value - fallen is an ulp or so above 0, while the tick loop,
+    # subtracting the phase's drops one by one from value, reaches 0 by
+    # the same step. Trusting the lazy radius alone misses that hit
+    duration, dt, VT = 1.3, 0.1, 1.3
+    probe = simulator._Frontier(1, 1.0, VT)
+    probe.begin(duration, dt)
+    _, drops, levels = probe.ticks[(duration, dt)]
+
+    def tick_loop_hit(value, k):
+        for step, drop in enumerate(drops[: k + 1].tolist()):
+            value -= drop
+            if value <= 0.0:
+                return step
+        return None
+
+    cases = []
+    for k, level in enumerate(levels.tolist()):
+        value = level
+        for _ in range(4):
+            value = math.nextafter(value, math.inf)
+            step = tick_loop_hit(value, k)
+            if step is not None:
+                cases.append((k, value, step))
+    assert cases, "no bin above 0 by its lazy radius reaches 0 in the tick loop"
+    for k, value, step in cases:
+        front = simulator._Frontier(1, value, VT)
+        front.begin(duration, dt)
+        met = front._radius(np.array([0]), levels[k], k + 1)
+        assert 0.0 < met[0] == value - levels[k] <= 4 * math.ulp(value)
+        assert front.center_hit[0]
+        assert front.hits == [(step, 0, float(front.times[step]))]
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 @pytest.mark.parametrize("mode", ["defense", "expansion"])
 def test_top_bounds_every_frontier_value(monkeypatch, kind, mode):
