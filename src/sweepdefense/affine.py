@@ -6,9 +6,11 @@ bookkeeping radius X = R + shift. A sweep at X takes T(X), leaves the raw
 budget b - VT*T(X) of the sensor, and the outward race against the front
 keeps the share Vs/(Vs+VT) of it. `run` iterates that rule for every
 kind, `steps` turns a run into ExpansionSteps, and `per_eps` cuts one run
-to the farthest target into each eps's steps, sums or failure: eps moves
-only where the iteration stops, so inside a `memo.command` one run serves
-every eps a table plans.
+to the farthest target into each eps's steps, sums, sweep count or
+failure: eps moves only where the iteration stops, so inside a
+`memo.command` one run serves every eps a table plans. A count asks for
+neither steps nor sums, so its run keeps no sweep and its memory is O(1)
+however many sweeps it counts.
 
 For both pincers T = a*X, so X_{i+1} = c2*X_i + c1. The circular pincer
 runs it on the ring radius (a = 2*pi/(n*Vs), b = r, shift = 0), the
@@ -174,10 +176,12 @@ def _sums(
 
 def per_eps(gaps, expansion, listed: bool, summed: bool) -> Dict[float, object]:
     """Each eps in gaps's cut of one run to the farthest target: its steps
-    when listed, its summed summary when summed, both as a pair, or the
-    MaxIterations its own run gives. An eps whose target is not above R0
-    is left out. expansion is an AffineRecursion or a same-direction
-    expansion, with the same sweeps, cap, check and shortfall."""
+    when listed, its summed summary when summed, both as a pair, its
+    sweep count N when neither, or the MaxIterations its own run gives.
+    A count's run keeps no sweep and sums nothing. An eps whose target is
+    not above R0 is left out. expansion is an AffineRecursion or a
+    same-direction expansion, with the same sweeps, cap, check and
+    shortfall."""
     R0, R_asym = expansion.params.R0, expansion.asymptote
     out: Dict[float, object] = {}
     targets: Dict[float, float] = {}
@@ -194,7 +198,7 @@ def per_eps(gaps, expansion, listed: bool, summed: bool) -> Dict[float, object]:
     if targets:
         rising = sorted(set(targets.values()))
         sweeps = expansion.sweeps
-        T_list, eff_list, ends, stall = run(sweeps, rising, expansion.cap)
+        T_list, eff_list, ends, stall = run(sweeps, rising, expansion.cap, listed or summed)
         if listed and ends:
             listing = steps(sweeps, T_list, eff_list, ends[-1][0])
         for eps, R_target in targets.items():
@@ -205,7 +209,7 @@ def per_eps(gaps, expansion, listed: bool, summed: bool) -> Dict[float, object]:
             N, R_last = ends[k]
             cut = (listing if N == len(listing) else listing[:N]) if listed else None
             if not summed:
-                out[eps] = cut
+                out[eps] = cut if listed else N
                 continue
             summary = _sums(sweeps.Vs, R_asym, R_target, N, R_last, T_list, eff_list)
             out[eps] = (cut, summary) if listed else summary

@@ -322,7 +322,7 @@ def cmd_max_radius(cfg: RunConfig) -> Table:
 
 
 def _sweep_count_rows(cfg, kind, params, Vs):
-    return [(protocols.totals(params, Vs, kind).N_n,)]
+    return [(protocols.sweep_count(params, Vs, kind),)]
 
 
 def cmd_sweep_count(cfg: RunConfig) -> Table:

@@ -8,8 +8,9 @@ sweeps. Inside ``command()`` these are computed once:
 - ``per_scene`` functions answer each (R0, r, VT, n, *args) once;
 - ``per_gap`` runs one pass for all the stop gaps a table plans for one
   expansion and hands each gap its own result when that gap is asked for:
-  every kind's schedule and the same-direction totals share one run of
-  `affine.run`, cut at each gap's own target by `affine.per_eps`.
+  every kind's schedule and the same-direction totals and sweep counts
+  share one run of `affine.run`, cut at each gap's own target by
+  `affine.per_eps`.
 
 Outside ``command()`` nothing is kept and every function computes afresh,
 a pure function of its arguments. The scope is a context variable, so a

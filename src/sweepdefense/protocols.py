@@ -1,11 +1,13 @@
 """Which functions answer for each protocol kind.
 
 The CLI and the simulator ask this module for a kind's critical speed,
-asymptote, totals, schedule or its first steps, sweep sector and
-duration from a radius, and whether it is a pincer or a spiral. The
-pincer kinds are answered by their own modules, the same-direction kinds
-by `same_direction`; each call looks the function up on its module when
-it is made.
+asymptote, sweep count, totals, schedule or its first steps, sweep
+sector and duration from a radius, and whether it is a pincer or a
+spiral. The pincer kinds are answered by their own modules, the
+same-direction kinds by `same_direction`; each call looks the function
+up on its module when it is made. Each answer does only the work it
+returns: a same-direction sweep count comes from a run that keeps no
+sweep and sums nothing, and a same-direction schedule sums nothing.
 """
 
 import math
@@ -46,6 +48,15 @@ def max_radius(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> float:
     return pincer.max_radius(params, Vs)
 
 
+def sweep_count(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> int:
+    """The N_n of the kind's totals, or the error they raise, without
+    the rest of the summary."""
+    pincer = _PINCERS.get(kind)
+    if pincer is None:
+        return same_direction._shared(params, Vs, kind, listed=False, summed=False)
+    return pincer.sweep_count(params, Vs)
+
+
 def totals(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> ProtocolSummary:
     pincer = _PINCERS.get(kind)
     if pincer is None:
@@ -58,7 +69,7 @@ def schedule(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> List[Expa
     per (kind, n, Vs) serves every eps the command plans."""
     pincer = _PINCERS.get(kind)
     if pincer is None:
-        return same_direction.expansion_schedule_same(params, Vs, kind)[0]
+        return same_direction._shared(params, Vs, kind, listed=True, summed=False)
     return pincer.expansion_schedule(params, Vs)
 
 

@@ -26,13 +26,11 @@ cost about 100 us either way on an ext4 root mounted with discard (a
 shared 2-vCPU Linux container), against 12 us in place.
 """
 
-import csv
-import json
 import math
 import operator
 import os
 import stat
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -105,11 +103,14 @@ class _Formats(dict):
 
     def lines(self, rows: Iterable[Sequence[Cell]], cells: int) -> Optional[List[str]]:
         """Each row's text, through one format; None if a column mixes
-        cell types (its signature comes out short of cells)."""
+        cell types (its signature comes out short of cells). Rows that
+        are tuples, as ExpansionSteps are, go to % as they are."""
         signature = tuple(t for column in zip(*rows) for t in set(map(type, column)))
         if len(signature) != cells:
             return None
-        return list(map(self[signature].__mod__, map(tuple, rows)))
+        if not all(map(isinstance, rows, repeat(tuple))):
+            rows = map(tuple, rows)
+        return list(map(self[signature].__mod__, rows))
 
 
 def _plain(text: str, lines: int, commas: int) -> bool:
@@ -145,10 +146,12 @@ def render_csv(table: Table) -> str:
     more line breaks or commas than its cells make (a cell holding one);
     newly formatted rows with a column of mixed cell types; and every row
     of a one-column table (where an empty line must be written as "").
+    The writer, and the csv module, are made ready at the first such
+    block, so a table that has none never imports csv.
     """
     parts: List[str] = []
     write = parts.append
-    writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
+    writer = None
     isfinite = math.isfinite
     width = len(table.columns)
     formats = _Formats()
@@ -207,6 +210,10 @@ def render_csv(table: Table) -> str:
                 pieces[-1] = end + "\n"
                 parts += pieces
                 continue
+        if writer is None:
+            import csv
+
+            writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
         for row in body:
             writer.writerow([
                 (FLOAT_FORMAT % v if isfinite(v) else "") if isinstance(v, float)
@@ -219,6 +226,8 @@ def render_csv(table: Table) -> str:
 def render_json(table: Table) -> str:
     """JSON text; an integer cell of a type json does not know, like
     numpy's int64, is written as its int, as CSV writes its digits."""
+    import json
+
     doc = {
         "columns": table.columns,
         "rows": [[_json_cell(v) for v in row] for row in table.rows],
@@ -260,5 +269,7 @@ def write_meta(out: Union[str, Path], meta: dict) -> None:
     """
     if not os.path.isfile(out):
         return
+    import json
+
     text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     _write(meta_path(out), text)

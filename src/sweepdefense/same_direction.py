@@ -20,6 +20,9 @@ formula for circular, a bisection of the spiral budget), so
 `max_radius_same` answers from it alone; `totals_same` and
 `expansion_schedule_same` run their sweeps through `affine.run`, the one
 loop of every kind, and take their steps and sums from `affine.per_eps`.
+`_shared` asks it for steps, sums, both, or neither: a sweep count alone
+comes from a run that keeps no sweep and sums nothing, so counting takes
+O(1) memory however long the run.
 An expansion whose `sweep_bound` puts its count past the sweep cap fails
 before the loop runs: the circular loop is the affine pincer recursion
 with a smaller budget, so its count has a closed form, and the spiral
@@ -28,11 +31,12 @@ short of its target fails at once, as the cap would end it.
 
 eps moves only where an expansion stops, so inside a `memo.command` the
 eps values a table plans share one run per (kind, n, Vs): the first of
-them runs it to the farthest target and every eps takes its sums over
-its own prefix, in the order a run of its own adds them, and its steps
-as the first of the farthest eps's steps. The critical speed and the
-spiral asymptote are solved once per command as well; the asymptote's
-bisection computes the R-free factors of lam(R) once for all its probes.
+them runs it to the farthest target and every eps takes its count, its
+sums over its own prefix, in the order a run of its own adds them, and
+its steps as the first of the farthest eps's steps. The critical speed
+and the spiral asymptote are solved once per command as well; the
+asymptote's bisection computes the R-free factors of lam(R) once for all
+its probes.
 """
 
 import math
@@ -231,19 +235,21 @@ def expansion(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> _Expansi
     return _Expansion(params, Vs, kind, max_radius_same(params, Vs, kind))
 
 
-def _shared(params: ScenarioParams, Vs: float, kind: ProtocolKind, listed: bool):
-    """The summary, with its steps in front when listed, of the expansion
-    to params.eps; inside a memo.command the eps values the command plans
-    share one run of sweeps per (kind, n, Vs)."""
+def _shared(params: ScenarioParams, Vs: float, kind: ProtocolKind, listed: bool, summed: bool):
+    """The expansion to params.eps as affine.per_eps cuts it: its steps
+    when listed, its summary when summed, both as a pair, or its sweep
+    count when neither; inside a memo.command the eps values the command
+    plans share one run of sweeps per (kind, n, Vs)."""
     return memo.per_gap(
-        ("same_direction", listed, kind, params.R0, params.r, params.VT, params.n, Vs),
-        params.eps, _cut, params, Vs, kind, max_radius_same(params, Vs, kind), listed,
+        ("same_direction", listed, summed, kind, params.R0, params.r, params.VT, params.n, Vs),
+        params.eps, _cut, params, Vs, kind, max_radius_same(params, Vs, kind), listed, summed,
     )
 
 
-def _cut(gaps, params: ScenarioParams, Vs: float, kind: ProtocolKind, R_asym: float, listed: bool):
+def _cut(gaps, params: ScenarioParams, Vs: float, kind: ProtocolKind, R_asym: float,
+         listed: bool, summed: bool):
     # the expansion is built only when a run is made, not at every grid point
-    return per_eps(gaps, _Expansion(params, Vs, kind, R_asym), listed, True)
+    return per_eps(gaps, _Expansion(params, Vs, kind, R_asym), listed, summed)
 
 
 def totals_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> ProtocolSummary:
@@ -253,7 +259,7 @@ def totals_same(params: ScenarioParams, Vs: float, kind: ProtocolKind) -> Protoc
     Inside a memo.command, the eps values the command plans share one run
     of sweeps per (kind, n, Vs); every result is the one its own run gives.
     """
-    return _shared(params, Vs, kind, listed=False)
+    return _shared(params, Vs, kind, listed=False, summed=True)
 
 
 def expansion_schedule_same(
@@ -268,4 +274,4 @@ def expansion_schedule_same(
     sweeps per (kind, n, Vs), and a nearer eps's steps are the first of
     the farthest one's: every result is the one its own run gives.
     """
-    return _shared(params, Vs, kind, listed=True)
+    return _shared(params, Vs, kind, listed=True, summed=True)

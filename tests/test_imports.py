@@ -50,6 +50,19 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
 print(json.dumps([rc, err.getvalue()]))
 """
 
+# prints [exit code, the modules of json and csv that the cli's import and
+# one CSV table loaded]; those loaded before the import do not count
+RUN_WITHOUT_JSON_OR_CSV = """\
+import contextlib, io, sys
+before = set(sys.modules)
+from sweepdefense import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["critical-speeds"])
+loaded = sorted(name for name in set(sys.modules) - before if name.split(".")[0] in ("json", "csv"))
+import json
+print(json.dumps([rc, loaded]))
+"""
+
 PACKAGE = SRC / "sweepdefense"
 
 ALL_PROTOCOLS = "circular-pincer,spiral-pincer,circular-same,spiral-same"
@@ -96,6 +109,12 @@ def test_simulate_without_numpy_fails_with_an_error_line():
     rc, err = fresh_python(RUN_SIMULATE_WITHOUT_NUMPY)
     assert rc == 1
     assert err.startswith("error: simulate needs numpy") and "Traceback" not in err
+
+
+def test_a_csv_table_loads_neither_json_nor_csv():
+    # json serves only --format json and the sidecar, csv only a block the
+    # fast path cannot write
+    assert fresh_python(RUN_WITHOUT_JSON_OR_CSV) == [0, []]
 
 
 def numeric_cells_close(got, want):

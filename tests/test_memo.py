@@ -28,23 +28,26 @@ COMMANDS = ("critical-speeds", "max-radius", "sweep-count", "totals", "schedule"
 
 
 def run(argv):
-    """(exit code, stdout, stderr, the protocols.totals calls and outcomes)."""
+    """(exit code, stdout, stderr, the protocols.totals and
+    protocols.sweep_count calls and their outcomes)."""
     calls = []
-    totals = protocols.totals
 
-    def recorded(params, Vs, kind):
-        try:
-            summary = totals(params, Vs, kind)
-        except Exception as exc:
-            calls.append((kind, params.n, params.eps, Vs, type(exc).__name__))
-            raise
-        calls.append((kind, params.n, params.eps, Vs, summary))
-        return summary
+    def recorder(fn):
+        def recorded(params, Vs, kind):
+            try:
+                result = fn(params, Vs, kind)
+            except Exception as exc:
+                calls.append((kind, params.n, params.eps, Vs, type(exc).__name__))
+                raise
+            calls.append((kind, params.n, params.eps, Vs, result))
+            return result
+
+        return recorded
 
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(protocols, "totals", recorded), contextlib.redirect_stdout(
-        out
-    ), contextlib.redirect_stderr(err):
+    with mock.patch.object(protocols, "totals", recorder(protocols.totals)), mock.patch.object(
+        protocols, "sweep_count", recorder(protocols.sweep_count)
+    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     return rc, out.getvalue(), err.getvalue(), calls
 
@@ -164,6 +167,49 @@ class TestWork:
         spiral_pincer.critical_speed(params)
         assert len(solved) == 2
 
+    def test_a_same_direction_count_keeps_and_sums_no_sweep(self, monkeypatch):
+        loop = affine.run
+        runs, sums = [], []
+
+        def counted_runs(sweeps, R_targets, limit, keep=True):
+            runs.append((len(R_targets), keep))
+            return loop(sweeps, R_targets, limit, keep)
+
+        monkeypatch.setattr(affine, "run", counted_runs)
+        monkeypatch.setattr(affine, "_sums", lambda *args: sums.append(args))
+        scene = ["--protocol", "circular-same,spiral-same", "--n", "2,4", "--eps", "0.1,0.01",
+                 "--speed-mode", "delta-own", "--dV", "1,5"]
+        rc, out, _, calls = run(["sweep-count", *scene])
+        assert rc == 0 and out.count(",ok\n") == 16
+        assert all(isinstance(call[-1], int) for call in calls) and len(calls) == 16
+        # one run per kind, n and speed, to both eps, keeping nothing
+        assert runs == [(2, False)] * 8
+        # a schedule keeps its sweeps to list them, and sums none either
+        runs.clear()
+        rc, out, _, _ = run(["schedule", *scene])
+        assert rc == 0 and out.count(",ok\n") > 16
+        assert runs == [(2, True)] * 8
+        assert sums == []
+
+    def test_a_long_count_keeps_no_sweep(self):
+        # about 1.1e5 sweeps: kept, their times and budgets take megabytes
+        kind = ProtocolKind.SPIRAL_SAME_DIRECTION
+        params = ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=2, eps=0.1)
+
+        def traced(fn):
+            tracemalloc.start()
+            try:
+                result = fn(params, 2.5e4, kind)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return result, peak
+
+        count, count_peak = traced(protocols.sweep_count)
+        summary, totals_peak = traced(protocols.totals)
+        assert count == summary.N_n > 100_000
+        assert count_peak < 1_000_000 < 4_000_000 < totals_peak, (count_peak, totals_peak)
+
     def test_each_schedule_is_listed_once_for_every_eps(self, monkeypatch):
         loop = affine.run
         runs = []
@@ -239,6 +285,61 @@ class TestWork:
         assert N > 1000
         _, alone = transient("--protocol", protocol, "--eps", repr(eps), "--Vs", repr(Vs))
         assert grid <= 2 * alone, (grid, alone)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestCount:
+    """A sweep count is its totals' N_n, or their failure, with or without
+    a command's memo."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_count_is_the_totals_count(self, monkeypatch, protocol):
+        kind = ProtocolKind(protocol)
+        # ok, no target above R0 (1e4), a radius that stalls (1e-14), and
+        # a farther target that the lowered cap below refuses (1e-3)
+        gaps = (1.0, 1e4, 1e-14, 1e-3)
+
+        def at(eps):
+            return ScenarioParams(R0=100.0, r=10.0, VT=1.0, n=4, eps=eps)
+
+        Vc = protocols.CRITICAL[kind](at(1.0))
+        # below the critical speed, then two expansions
+        speeds = (0.5 * Vc, Vc + 3.0, Vc + 20.0)
+        points = [(at(eps), Vs) for eps in gaps for Vs in speeds]
+
+        def outcomes(fn, scoped):
+            with memo.command(gaps) if scoped else contextlib.nullcontext():
+                return [outcome(fn, params, Vs, kind) for params, Vs in points]
+
+        def total_count(params, Vs, kind):
+            return protocols.totals(params, Vs, kind).N_n
+
+        def agree():
+            counts = outcomes(protocols.sweep_count, scoped=False)
+            assert counts == outcomes(protocols.sweep_count, scoped=True)
+            assert counts == outcomes(total_count, scoped=False)
+            assert counts == outcomes(total_count, scoped=True)
+            return counts
+
+        counts = agree()
+        failures = {count[0].__name__ for count in counts if isinstance(count, tuple)}
+        assert failures == {"SubcriticalSpeed", "NoExpansion", "MaxIterations"}
+        stalled = counts[gaps.index(1e-14) * len(speeds) + 1]
+        assert stalled[0] is MaxIterations
+        # a cap the nearer target at Vc + 3 reaches and the farther ones pass
+        cap = counts[1]
+        assert isinstance(cap, int)
+        monkeypatch.setattr(affine, "ITERATION_CAP", cap)
+        monkeypatch.setattr(same_direction, "_ITERATION_CAP", cap)
+        capped = agree()
+        assert capped[1] == cap and capped != counts
 
 
 def schedule_table(*argv):
